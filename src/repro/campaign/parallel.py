@@ -63,6 +63,7 @@ import time
 import traceback
 import warnings
 from collections import deque
+from multiprocessing import connection as mp_connection
 from pathlib import Path
 
 import numpy as np
@@ -106,7 +107,7 @@ def partition_chunks(chunks, workers):
     return [shard for shard in shards if shard]
 
 
-def _worker_main(campaign, wid, chunks, n_injections, plan, in_queue, out_queue,
+def _worker_main(campaign, wid, chunks, n_injections, plan, in_queue, results,
                  observe_spec, profile_enabled, record_events):
     """Body of one forked campaign worker.
 
@@ -114,7 +115,10 @@ def _worker_main(campaign, wid, chunks, n_injections, plan, in_queue, out_queue,
     the model, pool, and activation cache arrive warm from the parent.
     Pulls chunk ids from ``in_queue`` one at a time (``None`` is the stop
     sentinel) and reports per-chunk completion records through
-    ``out_queue`` as soon as each chunk finishes — a worker that dies
+    ``results`` — the write end of the worker's own one-way pipe, which
+    no other process writes to — as soon as each chunk finishes.  A
+    SIGKILL can therefore only tear this worker's own channel, never
+    wedge a lock its siblings need.  A worker that dies
     mid-campaign has already shipped (and, when observing to JSONL,
     persisted) everything it completed.  A chunk whose execution raises is
     reported as ``chunk_failed`` and the worker moves on; the parent
@@ -163,7 +167,7 @@ def _worker_main(campaign, wid, chunks, n_injections, plan, in_queue, out_queue,
             tracer.attach(campaign)
             tracer.begin(campaign, n_injections, emit_header=False)
     except BaseException:
-        out_queue.put(("fatal", wid, traceback.format_exc()))
+        results.send(("fatal", wid, traceback.format_exc()))
         raise
 
     parent_pid = os.getppid()
@@ -174,15 +178,15 @@ def _worker_main(campaign, wid, chunks, n_injections, plan, in_queue, out_queue,
             if os.getppid() != parent_pid:
                 # Orphaned: the parent was killed outright (kill -9) and
                 # could not run its shutdown protocol.  Exit hard — nobody
-                # reads out_queue any more, and a clean return would hang
-                # on its feeder thread.  Everything completed so far is
+                # reads the results pipe any more, so a final report could
+                # block on a full pipe.  Everything completed so far is
                 # already shipped (and journaled parent-side).
                 os._exit(1)
             continue
         if task is None:
             break
         chunk_id = int(task)
-        out_queue.put(("start", wid, chunk_id))
+        results.send(("start", wid, chunk_id))
         positions = chunks[chunk_id]
         try:
             captures_before = tracer.clean_captures if tracer is not None else 0
@@ -191,7 +195,7 @@ def _worker_main(campaign, wid, chunks, n_injections, plan, in_queue, out_queue,
                 [positions], pool_idx, layers, coords, seeds,
                 observer=tracer,
                 events={} if record_events else None,
-                on_progress=lambda k: out_queue.put(("progress", wid, k)),
+                on_progress=lambda k: results.send(("progress", wid, k)),
                 on_chunk=lambda cid, info: payload.update(info),
                 chunk_ids=[chunk_id])
             if tracer is not None:
@@ -206,12 +210,12 @@ def _worker_main(campaign, wid, chunks, n_injections, plan, in_queue, out_queue,
                     tracer.clean_captures - captures_before)
             if relay is not None:
                 payload["telemetry"] = relay.take()
-            out_queue.put(("chunk", wid, chunk_id, payload))
+            results.send(("chunk", wid, chunk_id, payload))
         except BaseException:
             if relay is not None:
                 relay.take()  # drop the failed attempt's partial events
-            out_queue.put(("chunk_failed", wid, chunk_id,
-                           traceback.format_exc()))
+            results.send(("chunk_failed", wid, chunk_id,
+                          traceback.format_exc()))
 
     metrics_snapshot = None
     spans = None
@@ -223,7 +227,7 @@ def _worker_main(campaign, wid, chunks, n_injections, plan, in_queue, out_queue,
     if tracer is not None:
         tracer.detach()
         tracer.close()
-    out_queue.put(("done", wid, {
+    results.send(("done", wid, {
         "pid": os.getpid(),
         "metrics": metrics_snapshot,
         "spans": spans,
@@ -231,15 +235,16 @@ def _worker_main(campaign, wid, chunks, n_injections, plan, in_queue, out_queue,
 
 
 class _WorkerHandle:
-    """Parent-side view of one worker: process, queue, and current chunk."""
+    """Parent-side view of one worker: process, channels, and current chunk."""
 
-    __slots__ = ("wid", "proc", "queue", "current", "started_at", "injections",
-                 "chunks_done", "finished")
+    __slots__ = ("wid", "proc", "queue", "conn", "current", "started_at",
+                 "injections", "chunks_done", "finished")
 
-    def __init__(self, wid, proc, queue):
+    def __init__(self, wid, proc, queue, conn):
         self.wid = wid
         self.proc = proc
         self.queue = queue
+        self.conn = conn  # read end of the worker's results pipe; None once closed
         self.current = None  # chunk id dispatched to (or running on) the worker
         self.started_at = None  # monotonic time the current chunk started
         self.injections = 0
@@ -448,7 +453,7 @@ class ParallelCampaignExecutor:
         return self._merge(state, n_injections, confidence, wall, tracer,
                            observe_mode, observe_base, trace, progress)
 
-    def _spawn(self, ctx, state, wid, chunks, n_injections, plan, out_queue,
+    def _spawn(self, ctx, state, wid, chunks, n_injections, plan,
                observe_mode, observe_base, record_events, profile_enabled):
         """Fork one worker (initial fleet or respawned replacement)."""
         spec = None
@@ -460,14 +465,19 @@ class ParallelCampaignExecutor:
         elif observe_mode == "memory":
             spec = ("memory",)
         in_queue = ctx.Queue()
+        reader, writer = ctx.Pipe(duplex=False)
         proc = ctx.Process(
             target=_worker_main,
             args=(self.campaign, wid, chunks, n_injections, plan, in_queue,
-                  out_queue, spec, profile_enabled, record_events),
+                  writer, spec, profile_enabled, record_events),
             daemon=True,
         )
         proc.start()
-        handle = _WorkerHandle(wid, proc, in_queue)
+        # The worker now holds the only write end: once it exits, its
+        # channel reads as EOF after everything it sent, and workers forked
+        # later do not inherit (and so cannot keep open) this pipe.
+        writer.close()
+        handle = _WorkerHandle(wid, proc, in_queue, reader)
         state.workers[wid] = handle
         state.shard_ids.append(wid)
         self._publish("worker", "spawn", {"wid": wid, "pid": proc.pid})
@@ -477,7 +487,6 @@ class ParallelCampaignExecutor:
                        observe_mode, observe_base, record_events, prof):
         """Spawn the fleet and schedule every pending chunk to completion."""
         ctx = multiprocessing.get_context("fork")
-        out_queue = ctx.Queue()
         state.flush_every = (self.campaign.observer.sink.flush_every
                             if observe_mode == "jsonl" else 1)
         n_workers = min(self.workers, len(state.backlog))
@@ -486,18 +495,17 @@ class ParallelCampaignExecutor:
                            workers=n_workers, injections=n_injections) as pspan:
                 for wid in range(n_workers):
                     self._spawn(ctx, state, wid, chunks, n_injections, plan,
-                                out_queue, observe_mode, observe_base,
-                                record_events, prof.enabled)
+                                observe_mode, observe_base, record_events,
+                                prof.enabled)
                 for handle in state.workers.values():
                     self._dispatch(state, handle)
                 try:
                     self._schedule(state, chunks, n_injections, plan, ctx,
-                                   out_queue, observe_mode, observe_base,
-                                   record_events, prof, progress)
-                    self._collect_done(state, out_queue, progress, n_injections)
+                                   observe_mode, observe_base, record_events,
+                                   prof, progress)
+                    self._collect_done(state)
                 except KeyboardInterrupt:
-                    self._graceful_shutdown(state, out_queue, progress,
-                                            n_injections)
+                    self._graceful_shutdown(state)
                     raise CampaignInterrupted({
                         "completed_injections": state.completed_injections,
                         "n_injections": n_injections,
@@ -513,7 +521,7 @@ class ParallelCampaignExecutor:
                 if handle.proc.is_alive():
                     handle.proc.terminate()
                     handle.proc.join(timeout=_JOIN_TIMEOUT_S)
-            self._drain_queue(out_queue)
+                self._close_channel(handle)
 
     # ------------------------------------------------------------------ #
     # Scheduling
@@ -530,7 +538,7 @@ class ParallelCampaignExecutor:
         handle.started_at = None  # watchdog clock starts at the "start" msg
         handle.queue.put(cid)
 
-    def _schedule(self, state, chunks, n_injections, plan, ctx, out_queue,
+    def _schedule(self, state, chunks, n_injections, plan, ctx,
                   observe_mode, observe_base, record_events, prof, progress):
         """The parent's event loop: results, failures, watchdog, respawns."""
         policy = self.policy
@@ -541,17 +549,13 @@ class ParallelCampaignExecutor:
                 respawn_at = None
                 wid = len(state.shard_ids)
                 handle = self._spawn(ctx, state, wid, chunks, n_injections,
-                                     plan, out_queue, observe_mode,
-                                     observe_base, record_events, prof.enabled)
+                                     plan, observe_mode, observe_base,
+                                     record_events, prof.enabled)
                 state.respawns += 1
                 self._publish("recovery", "worker_respawned",
                               {"wid": wid, "respawns": state.respawns})
                 self._dispatch(state, handle)
-            try:
-                msg = out_queue.get(timeout=_POLL_TIMEOUT_S)
-            except queue_mod.Empty:
-                msg = None
-            if msg is not None:
+            for msg in self._receive(state):
                 kind, wid = msg[0], msg[1]
                 handle = state.workers[wid]
                 if kind == "progress":
@@ -607,7 +611,10 @@ class ParallelCampaignExecutor:
         now = time.monotonic()
         for handle in list(state.workers.values()):
             if handle.finished or not handle.proc.is_alive():
-                if not handle.finished and handle.wid not in state.reaped:
+                # A dead worker is reaped only once its channel is drained:
+                # a chunk it completed just before dying is kept, not rerun.
+                if (not handle.finished and handle.wid not in state.reaped
+                        and not self._channel_pending(handle)):
                     state.reaped.add(handle.wid)
                     state.worker_failures += 1
                     detail = state.fatal_errors.get(
@@ -700,35 +707,30 @@ class ParallelCampaignExecutor:
                 "chunk": cid, "attempts": state.attempts[cid]})
             state.requeue(cid)
 
-    def _collect_done(self, state, out_queue, progress, n_injections):
+    def _collect_done(self, state):
         """Stop the fleet and gather every worker's exit report."""
         state.stopping = True
         for handle in state.workers.values():
             if handle.proc.is_alive() and not handle.finished:
                 handle.queue.put(None)
         deadline = time.monotonic() + _JOIN_TIMEOUT_S
-        while (any(not h.finished for h in state.workers.values())
+        # A worker's exit report can still sit in its channel after the
+        # process has died; give up on a worker only once its channel has
+        # closed (everything it sent was read) or the deadline passes.
+        while (any(not h.finished and h.conn is not None
+                   for h in state.workers.values())
                and time.monotonic() < deadline):
-            try:
-                msg = out_queue.get(timeout=_POLL_TIMEOUT_S)
-            except queue_mod.Empty:
-                # A worker's exit report can still be in the queue after its
-                # process has died; give up on it only once the queue has
-                # gone quiet and no unfinished worker remains alive.
-                if not any(not h.finished and h.proc.is_alive()
-                           for h in state.workers.values()):
-                    break
-                continue
-            kind, wid = msg[0], msg[1]
-            if kind == "done":
-                self._note_done(state, wid, msg[2])
-            elif kind == "chunk":
-                self._on_chunk(state, state.workers[wid], msg[2], msg[3])
+            for msg in self._receive(state):
+                kind, wid = msg[0], msg[1]
+                if kind == "done":
+                    self._note_done(state, wid, msg[2])
+                elif kind == "chunk":
+                    self._on_chunk(state, state.workers[wid], msg[2], msg[3])
         for handle in state.workers.values():
             if handle.finished:
                 handle.proc.join(timeout=_JOIN_TIMEOUT_S)
 
-    def _graceful_shutdown(self, state, out_queue, progress, n_injections):
+    def _graceful_shutdown(self, state):
         """Drain in-flight chunks, flush everything, terminate all children."""
         state.stopping = True
         deadline = time.monotonic() + self.policy.drain_timeout_s
@@ -739,21 +741,18 @@ class ParallelCampaignExecutor:
             while (any(h.current is not None and h.proc.is_alive()
                        for h in state.workers.values())
                    and time.monotonic() < deadline):
-                try:
-                    msg = out_queue.get(timeout=_POLL_TIMEOUT_S)
-                except queue_mod.Empty:
-                    continue
-                kind, wid = msg[0], msg[1]
-                handle = state.workers[wid]
-                if kind == "chunk":
-                    self._on_chunk(state, handle, msg[2], msg[3])
-                elif kind == "start":
-                    handle.current = msg[2]
-                    handle.started_at = time.monotonic()
-                elif kind == "chunk_failed":
-                    handle.current = None
-                elif kind == "done":
-                    self._note_done(state, wid, msg[2])
+                for msg in self._receive(state):
+                    kind, wid = msg[0], msg[1]
+                    handle = state.workers[wid]
+                    if kind == "chunk":
+                        self._on_chunk(state, handle, msg[2], msg[3])
+                    elif kind == "start":
+                        handle.current = msg[2]
+                        handle.started_at = time.monotonic()
+                    elif kind == "chunk_failed":
+                        handle.current = None
+                    elif kind == "done":
+                        self._note_done(state, wid, msg[2])
         except KeyboardInterrupt:
             pass  # second interrupt: stop draining, terminate now
         finally:
@@ -761,21 +760,47 @@ class ParallelCampaignExecutor:
                 if handle.proc.is_alive():
                     handle.proc.terminate()
                     handle.proc.join(timeout=_JOIN_TIMEOUT_S)
-            self._drain_queue(out_queue)
             if state.journal is not None:
                 state.journal.close()
             observer = self.campaign.observer
             if observer is not None and hasattr(observer.sink, "flush"):
                 observer.sink.flush()
 
-    @staticmethod
-    def _drain_queue(out_queue):
-        """Empty the result queue so its feeder thread cannot block join."""
-        while True:
+    # ------------------------------------------------------------------ #
+    # Result channels
+    # ------------------------------------------------------------------ #
+
+    def _receive(self, state, timeout=_POLL_TIMEOUT_S):
+        """Wait up to ``timeout`` s for worker messages; return those read.
+
+        Reads at most one message per ready channel, so one chatty worker
+        cannot starve the rest.  ``EOFError`` means the worker has exited
+        and everything it sent has been read; ``OSError`` means a SIGKILL
+        tore its last message mid-send.  Either way the channel is closed.
+        """
+        channels = {h.conn: h for h in state.workers.values()
+                    if h.conn is not None}
+        if not channels:
+            time.sleep(timeout)
+            return []
+        messages = []
+        for conn in mp_connection.wait(list(channels), timeout):
             try:
-                out_queue.get_nowait()
-            except queue_mod.Empty:
-                return
+                messages.append(conn.recv())
+            except (EOFError, OSError):
+                self._close_channel(channels[conn])
+        return messages
+
+    @staticmethod
+    def _channel_pending(handle):
+        """Whether the worker's channel still holds unread data or EOF."""
+        return handle.conn is not None and handle.conn.poll()
+
+    @staticmethod
+    def _close_channel(handle):
+        if handle.conn is not None:
+            handle.conn.close()
+            handle.conn = None
 
     # ------------------------------------------------------------------ #
     # Merge

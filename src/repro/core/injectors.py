@@ -115,18 +115,21 @@ def _batched_locations(gen, layer_pool, sizes, shapes, n, layer, strategy,
     else:
         raise ValueError(f"unknown sampling strategy {strategy!r}")
 
-    layers = np.asarray([layer_pool[p] for p in picks], dtype=np.int64)
+    layers = np.asarray(layer_pool, dtype=np.int64)[picks]
+    if channel_map is not None:
+        channel_map = np.asarray(channel_map, dtype=np.int64)
     coords = [None] * n
     for p in np.unique(picks):
         slots = np.nonzero(picks == p)[0]
         shape = shapes[int(p)]
         flat_idx = gen.integers(0, int(sizes[p]), size=len(slots))
-        unravelled = np.unravel_index(flat_idx, shape)
-        for j, slot in enumerate(slots):
-            coord = tuple(int(axis[j]) for axis in unravelled)
-            if channel_map is not None:
-                coord = (channel_map[coord[0]],) + coord[1:]
-            coords[slot] = coord
+        unravelled = list(np.unravel_index(flat_idx, shape))
+        if channel_map is not None:
+            unravelled[0] = channel_map[unravelled[0]]
+        # One C-level int conversion per axis; zip assembles the tuples.
+        rows = zip(*[axis.tolist() for axis in unravelled])
+        for slot, row in zip(slots.tolist(), rows):
+            coords[slot] = row
     return layers, coords
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -78,6 +79,13 @@ class ResidentFaultSet:
     set is reusable (apply/restore any number of times) but not
     re-entrant — a second ``apply`` without an intervening ``restore``
     raises.
+
+    A swap costs a handful of numpy calls per affected layer, not per
+    fault: the faults are grouped once into a columnar per-layer form
+    (int64 coordinate columns, a bit array and a stuck mask), and each
+    layer is then validated, gathered, forced and scattered as a whole.
+    The set is immutable, so that form and :attr:`fingerprint` are both
+    computed once and reused by every later swap.
     """
 
     def __init__(self, faults, quantization=None):
@@ -86,6 +94,8 @@ class ResidentFaultSet:
             raise ValueError("resident fault set targets the same weight twice")
         self.quantization = list(quantization) if quantization is not None else None
         self._applied = None
+        self._columns = None
+        self._fingerprint = None
 
     def __len__(self):
         return len(self.faults)
@@ -97,76 +107,119 @@ class ResidentFaultSet:
     @property
     def fingerprint(self):
         """Stable digest of the fault set (journal/cache identity)."""
-        h = hashlib.sha256()
-        for fault in sorted(self.faults, key=lambda f: (f.layer, f.coords)):
-            h.update(repr((fault.layer, tuple(fault.coords), fault.bit,
-                           fault.stuck)).encode())
-        if self.quantization is not None:
-            for params in self.quantization:
-                h.update(repr((float(params.scale), int(params.bits))).encode())
-        return h.hexdigest()
+        if self._fingerprint is None:
+            h = hashlib.sha256()
+            for fault in sorted(self.faults, key=lambda f: (f.layer, f.coords)):
+                h.update(repr((fault.layer, tuple(fault.coords), fault.bit,
+                               fault.stuck)).encode())
+            if self.quantization is not None:
+                for params in self.quantization:
+                    h.update(repr((float(params.scale), int(params.bits))).encode())
+            self._fingerprint = h.hexdigest()
+        return self._fingerprint
 
     def describe(self):
         return [fault.describe() for fault in self.faults]
 
-    def _quant_for(self, layer):
-        if self.quantization is None:
-            return None
-        return self.quantization[layer]
+    def _layer_columns(self):
+        """Per-layer columnar form of the faults, in first-appearance order.
 
-    def _faulted_value(self, original, fault):
-        """The stuck-at value for one weight element (original's dtype)."""
-        quant = self._quant_for(fault.layer)
-        if quant is not None:
-            q = quant.quantize(np.asarray([original]))
-            forced = bitflip.stuck_at_bits(q, fault.bit, fault.stuck)
-            return quant.dequantize(forced).astype(np.asarray(original).dtype)[0]
-        values = np.asarray([original])
-        return bitflip.stuck_at_bits(values, fault.bit, fault.stuck)[0]
+        Each entry is ``(layer, positions, coords, bits, stuck)``: the
+        faults' indices into :attr:`faults`, their coordinates as an
+        ``(n, ndim)`` int64 array (``None`` when the coordinate lengths
+        differ, which no weight shape can accept), the bit indices, and a
+        boolean stuck-at-1 mask.
+        """
+        if self._columns is None:
+            groups = {}
+            for pos, fault in enumerate(self.faults):
+                groups.setdefault(int(fault.layer), []).append(pos)
+            columns = []
+            for layer, positions in groups.items():
+                picked = [self.faults[p] for p in positions]
+                ndims = {len(f.coords) for f in picked}
+                coords = (np.array([f.coords for f in picked], dtype=np.int64)
+                          .reshape(len(picked), ndims.pop())
+                          if len(ndims) == 1 else None)
+                columns.append((
+                    layer,
+                    np.asarray(positions, dtype=np.int64),
+                    coords,
+                    np.array([f.bit for f in picked], dtype=np.int64),
+                    np.array([f.stuck == 1 for f in picked], dtype=bool),
+                ))
+            self._columns = columns
+        return self._columns
+
+    def _validate(self, fi, columns):
+        """Raise ``ValueError`` for the first fault no weight can take."""
+        first_bad = None
+        for layer, positions, coords, _, _ in columns:
+            shape = fi.layer(layer).weight_shape
+            if shape is None:
+                bad = positions
+            elif coords is None:
+                bad = positions[[
+                    len(self.faults[p].coords) != len(shape)
+                    or any(not 0 <= c < bound for c, bound in
+                           zip(self.faults[p].coords, shape))
+                    for p in positions]]
+            elif coords.shape[1] != len(shape):
+                bad = positions
+            else:
+                bad = positions[((coords < 0) | (coords >= shape)).any(axis=1)]
+            if bad.size and (first_bad is None or bad[0] < first_bad):
+                first_bad = int(bad[0])
+        if first_bad is None:
+            return
+        fault = self.faults[first_bad]
+        info = fi.layer(fault.layer)
+        if info.weight_shape is None:
+            raise ValueError(f"layer {fault.layer} ({info.name}) has no weights")
+        raise ValueError(
+            f"weight coords {fault.coords} invalid for layer "
+            f"{fault.layer} ({info.name}, shape {info.weight_shape})")
 
     def apply(self, fi):
         """Write the stuck-at values into ``fi``'s model weights.
 
-        Validates every site against the engine's profile first, then
-        checksums each affected weight array before touching it.
+        Validates every site against the engine's profile and computes
+        every faulted value before any weight is written, checksumming
+        each affected weight array on the way.
         """
         if self._applied is not None:
             raise RuntimeError("resident fault set is already applied")
+        columns = self._layer_columns()
+        self._validate(fi, columns)
         modules = [m for _, m in fi._iter_instrumentable(fi.model)]
         checksums = {}
-        snapshots = []
-        for fault in self.faults:
-            info = fi.layer(fault.layer)
-            if info.weight_shape is None:
-                raise ValueError(
-                    f"layer {fault.layer} ({info.name}) has no weights")
-            if len(fault.coords) != len(info.weight_shape) or any(
-                    not 0 <= c < bound
-                    for c, bound in zip(fault.coords, info.weight_shape)):
-                raise ValueError(
-                    f"weight coords {fault.coords} invalid for layer "
-                    f"{fault.layer} ({info.name}, shape {info.weight_shape})")
-        for fault in self.faults:
-            weight = modules[fault.layer].weight
-            if fault.layer not in checksums:
-                checksums[fault.layer] = (
-                    weight, hashlib.sha256(weight.data.tobytes()).hexdigest())
-            coords = tuple(fault.coords)
-            original = weight.data[coords]
-            snapshots.append((weight, coords, original))
-            weight.data[coords] = self._faulted_value(original, fault)
-        self._applied = (snapshots, checksums)
+        writes = []
+        for layer, _, coords, bits, stuck in columns:
+            weight = modules[layer].weight
+            checksums[layer] = (
+                weight, hashlib.sha256(weight.data.tobytes()).hexdigest())
+            index = tuple(coords.T)
+            original = weight.data[index]
+            quant = (self.quantization[layer]
+                     if self.quantization is not None else None)
+            stored = quant.quantize(original) if quant is not None else original
+            forced = np.where(stuck, bitflip.set_bits(stored, bits),
+                              bitflip.clear_bits(stored, bits))
+            if quant is not None:
+                forced = quant.dequantize(forced).astype(original.dtype)
+            writes.append((weight, index, original, forced))
+        for weight, index, _, forced in writes:
+            weight.data[index] = forced
+        self._applied = (writes, checksums)
         return self
 
     def restore(self):
         """Undo :meth:`apply`; verify affected arrays restored bitwise."""
         if self._applied is None:
             raise RuntimeError("resident fault set is not applied")
-        snapshots, checksums = self._applied
-        # Reverse order restores correctness even if a future caller
-        # stacks two faults on one element.
-        for weight, coords, original in reversed(snapshots):
-            weight.data[coords] = original
+        writes, checksums = self._applied
+        for weight, index, original, _ in writes:
+            weight.data[index] = original
         for layer, (weight, digest) in checksums.items():
             if hashlib.sha256(weight.data.tobytes()).hexdigest() != digest:
                 raise RuntimeError(
@@ -195,23 +248,38 @@ def sample_resident_faults(fi, k, rng, bit=None, stuck=1, layers=None,
         bits = quantization[0].bits if quantization else 32
     if bit is not None and not 0 <= bit < bits:
         raise ValueError(f"bit {bit} out of range [0, {bits})")
+    candidates = [info for info in fi.layers if info.weight_shape]
+    shapes = {info.index: info.weight_shape for info in candidates}
+    offsets = dict(zip(shapes, np.cumsum(
+        [0] + [info.weights for info in candidates]).tolist()))
     sites = []
-    seen = set()
+    seen = np.empty(0, dtype=np.int64)
     stagnant = 0
     while len(sites) < k:
         want = k - len(sites)
         layer_idx, coords = random_weight_locations(
             fi, want, rng=rng, layers=layers, channels=channels)
-        before = len(sites)
-        for layer, coord in zip(layer_idx, coords):
-            site = (int(layer), tuple(coord))
-            if site not in seen:
-                seen.add(site)
-                sites.append(site)
+        # One flat key per site — the layer's offset into the concatenated
+        # weight space plus the raveled coordinate — so de-duplication is
+        # a couple of array set operations rather than a tuple set.
+        keys = np.empty(len(coords), dtype=np.int64)
+        for layer in np.unique(layer_idx).tolist():
+            slots = np.nonzero(layer_idx == layer)[0]
+            shape = shapes[layer]
+            block = np.fromiter(
+                chain.from_iterable(coords[i] for i in slots.tolist()),
+                dtype=np.int64, count=len(slots) * len(shape))
+            keys[slots] = offsets[layer] + np.ravel_multi_index(
+                tuple(block.reshape(len(slots), len(shape)).T), shape)
+        _, first = np.unique(keys, return_index=True)
+        first.sort()  # first-occurrence (draw) order
+        fresh = first[~np.isin(keys[first], seen)]
+        seen = np.concatenate([seen, keys[fresh]])
+        sites.extend((int(layer_idx[i]), coords[i]) for i in fresh.tolist())
         # Re-draws replace collisions; many consecutive all-collision
         # rounds means k approaches (or exceeds) the number of distinct
         # eligible sites, which deserves an error rather than a hang.
-        stagnant = stagnant + 1 if len(sites) == before else 0
+        stagnant = 0 if fresh.size else stagnant + 1
         if stagnant >= 100:
             raise ValueError(
                 f"cannot sample {k} distinct weight sites under the "

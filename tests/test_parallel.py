@@ -363,3 +363,46 @@ class TestChaos:
         assert trace.events == base_trace.events
         assert _science_tallies(campaign) == _science_tallies(base)
         assert campaign.perf.worker_failures == 1
+
+    def test_worker_killed_mid_send_tears_only_its_own_channel(
+            self, trained_tiny_model, tmp_path, monkeypatch):
+        # A SIGKILL that lands while a worker writes a result leaves a torn
+        # frame in that worker's own pipe.  The parent must read it as a
+        # closed channel, requeue the chunk on a survivor (three workers on
+        # fewer cores keep the others busy sending meanwhile), and finish
+        # bitwise-identical to the serial run.
+        import signal
+        import struct
+        from multiprocessing.connection import Connection
+
+        model, dataset, _ = trained_tiny_model
+        n = 48
+        base = _campaign(model, dataset)
+        base_result = base.run(n)
+
+        parent_pid = os.getpid()
+        real_send = Connection.send
+
+        def torn_send(conn, obj):
+            if (os.getpid() != parent_pid and isinstance(obj, tuple)
+                    and obj[0] == "chunk"):
+                try:
+                    (tmp_path / "torn").touch(exist_ok=False)
+                except FileExistsError:
+                    pass
+                else:
+                    os.write(conn.fileno(), struct.pack("!i", 1 << 16) + b"torn")
+                    os.kill(os.getpid(), signal.SIGKILL)
+            return real_send(conn, obj)
+
+        monkeypatch.setattr(Connection, "send", torn_send)
+        campaign = _campaign(model, dataset)
+        with pytest.warns(RuntimeWarning, match="died"):
+            result = campaign.run(n, workers=3)
+        assert (tmp_path / "torn").exists()
+        assert result.corruptions == base_result.corruptions
+        assert np.array_equal(result.per_layer_injections,
+                              base_result.per_layer_injections)
+        assert np.array_equal(result.per_layer_corruptions,
+                              base_result.per_layer_corruptions)
+        assert campaign.perf.worker_failures == 1

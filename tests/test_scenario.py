@@ -388,6 +388,214 @@ class TestSampling:
         assert all(0 <= f.bit < 32 for f in resident.faults)
 
 
+    # Pinned from the per-fault sampler this one replaced: sha256 of the
+    # sorted-key JSON of describe(), k=64, stuck=seed % 2, fixed bit 29
+    # (float32) / 6 (INT8).  A change here changes every sweep artifact.
+    SAMPLE_DIGESTS = {
+        (0, "float32", None): "ab12bdaea7b686c1885824eff25e51200d0cd467e731721c5e74e6cd97266eca",
+        (0, "float32", "fixed"): "a3c236aa97d99346fc7a2d2a3deb5d7e888cce62c85bf49ee32b8a51c4806eba",
+        (0, "int8", None): "bc8c512c9360a5fd5bdb0556cc0e9086f07af647a96490ed34cca4c156edf64f",
+        (0, "int8", "fixed"): "f8e21004869dcce3e6cd52d6ba98ed60d3e65587fba0184088a0cb9974fc8293",
+        (1, "float32", None): "020fa55cf81bbde14c87f4ddbb74de92d07fcfa023ed1ec9511ab25bbf2434e5",
+        (1, "float32", "fixed"): "fe04f762d18b68c1f9500a4ab589b832b113145f22385f12fd006a27babe3414",
+        (1, "int8", None): "8f1b9cebd39525c011cbe690c0863b67a65d601a60c6f7dba9b7de75a1ce1f34",
+        (1, "int8", "fixed"): "0aec612b58e2ea8732fe8f073301b281f89d8ba5d94d7b606321ba02a7d3e62f",
+        (2, "float32", None): "0f9829f7dd6145edd2952300605dbd72e5a3b83a54356a87126cfca4e573f262",
+        (2, "float32", "fixed"): "45cb9ce9ec7315ce3498329783845c21c740abfe7dfba6369134a998a024ba4a",
+        (2, "int8", None): "45ee6c17f52f691a7b58a36db0052061bd02048ce16e4b6628bb6c7cfd110543",
+        (2, "int8", "fixed"): "2e20c29ef00791f02a5df09977322e952b199a24801a29a1cfbe792b8b89596d",
+    }
+
+    @pytest.fixture(scope="class")
+    def sampling_fi(self):
+        return self._fi()
+
+    @pytest.mark.parametrize("seed,domain,bit", list(SAMPLE_DIGESTS))
+    def test_sample_describe_matches_pinned_digest(self, sampling_fi, seed,
+                                                   domain, bit):
+        quantization = weight_params(sampling_fi) if domain == "int8" else None
+        fixed = 6 if domain == "int8" else 29
+        resident = sample_resident_faults(
+            sampling_fi, 64, np.random.default_rng(seed),
+            bit=None if bit is None else fixed, stuck=seed % 2,
+            quantization=quantization)
+        assert describe_digest(resident) == self.SAMPLE_DIGESTS[(seed, domain, bit)]
+
+    def test_colliding_draws_keep_first_occurrence_order(self, sampling_fi):
+        # 24 of the 27 weights in one input channel of layer 0: most draws
+        # collide, so this pins the re-draw and de-duplication order.
+        resident = sample_resident_faults(
+            sampling_fi, 24, np.random.default_rng(3), layers=[0], channels=[1])
+        assert describe_digest(resident) == (
+            "43534d48554e99473c77c2f9a7cce2f1bd2b203f4b6ca1bb1cec58902b17d4f6")
+        assert resident.fingerprint == (
+            "332573024cc68b23687ef1167e84fa1f06c6de5419bc7763aac9f30324917ddc")
+
+
+def describe_digest(resident):
+    return hashlib.sha256(
+        json.dumps(resident.describe(), sort_keys=True).encode()).hexdigest()
+
+
+def alexnet_fi():
+    """alexnet/smoke profiled over conv, linear and weightless ReLU layers."""
+    from repro import nn
+    from repro.core import FaultInjection
+
+    net = models.get_model("alexnet", "cifar10", scale="smoke", rng=0)
+    return FaultInjection(net, 2, input_shape=(3, 32, 32),
+                          layer_types=(nn.Conv2d, nn.Linear, nn.ReLU))
+
+
+def all_weight_bytes(fi):
+    return [m.weight.data.tobytes()
+            for _, m in fi._iter_instrumentable(fi.model)
+            if getattr(m, "weight", None) is not None]
+
+
+def reference_weights(fi, resident):
+    """Per-element stuck-at reference: one scalar round trip per fault."""
+    from repro.core.bitflip import stuck_at_bits
+
+    modules = [m for _, m in fi._iter_instrumentable(fi.model)]
+    expected = {}
+    for fault in resident.faults:
+        weight = expected.setdefault(
+            fault.layer, modules[fault.layer].weight.data.copy())
+        value = weight[fault.coords].reshape(1)
+        if resident.quantization is not None:
+            params = resident.quantization[fault.layer]
+            value = params.dequantize(stuck_at_bits(
+                params.quantize(value), fault.bit, fault.stuck))
+        else:
+            value = stuck_at_bits(value, fault.bit, fault.stuck)
+        weight[fault.coords] = value[0]
+    return expected
+
+
+class TestVectorizedSwap:
+    @pytest.fixture(scope="class")
+    def fi(self):
+        return alexnet_fi()
+
+    WEIGHTED = (0, 2, 4, 6, 8, 10)  # conv layers 0-8, linear layer 10
+
+    def _faults(self, fi, stuck, bits, quantize):
+        width = 8 if quantize else 32
+        drawn = sample_resident_faults(
+            fi, 300, np.random.default_rng(17), bit=3, layers=self.WEIGHTED)
+        assert {f.layer for f in drawn.faults} == set(self.WEIGHTED)
+        rng = np.random.default_rng(23)
+        faults = []
+        for i, fault in enumerate(drawn.faults):
+            bit = int(rng.integers(0, width)) if bits == "mixed" else width - 2
+            value = i % 2 if stuck == "mixed" else stuck
+            faults.append(ResidentWeightFault(fault.layer, fault.coords, bit, value))
+        return ResidentFaultSet(
+            faults, quantization=weight_params(fi) if quantize else None)
+
+    @pytest.mark.parametrize("quantize", [False, True], ids=["float32", "int8"])
+    @pytest.mark.parametrize("stuck", [0, 1, "mixed"])
+    @pytest.mark.parametrize("bits", ["fixed", "mixed"])
+    def test_apply_matches_per_element_reference(self, fi, quantize, stuck, bits):
+        resident = self._faults(fi, stuck, bits, quantize)
+        before = all_weight_bytes(fi)
+        expected = reference_weights(fi, resident)
+        modules = [m for _, m in fi._iter_instrumentable(fi.model)]
+        resident.apply(fi)
+        try:
+            for layer, weight in expected.items():
+                assert modules[layer].weight.data.tobytes() == weight.tobytes()
+        finally:
+            resident.restore()
+        assert all_weight_bytes(fi) == before
+
+    def test_nan_patterns_written_bitwise(self, fi):
+        # 1.25 and 1.5 with bit 30 stuck at 1 become a signalling and a
+        # quiet NaN; both payloads must land exactly.
+        weight = [m for _, m in fi._iter_instrumentable(fi.model)][10].weight
+        saved = weight.data.copy()
+        weight.data[0, :2] = [1.25, 1.5]
+        try:
+            resident = ResidentFaultSet([
+                ResidentWeightFault(10, (0, 0), 30, 1),
+                ResidentWeightFault(10, (0, 1), 30, 1)])
+            resident.apply(fi)
+            assert weight.data[0, :2].view(np.uint32).tolist() == [
+                0x7FA00000, 0x7FC00000]
+            resident.restore()
+            assert weight.data[0, :2].tolist() == [1.25, 1.5]
+        finally:
+            weight.data[...] = saved
+
+    def test_set_is_reusable_across_swaps(self, fi):
+        resident = self._faults(fi, "mixed", "mixed", True)
+        resident.apply(fi)
+        first = all_weight_bytes(fi)
+        resident.restore()
+        resident.apply(fi)
+        assert all_weight_bytes(fi) == first
+        resident.restore()
+
+    @pytest.mark.parametrize("bad,match", [
+        (ResidentWeightFault(2, (0, 0, 5, 0), 1, 1),
+         r"weight coords \(0, 0, 5, 0\) invalid for layer 2"),
+        (ResidentWeightFault(10, (10, 0), 1, 1),
+         r"weight coords \(10, 0\) invalid for layer 10"),
+        (ResidentWeightFault(10, (0, 0, 0), 1, 1),
+         r"weight coords \(0, 0, 0\) invalid for layer 10"),
+        (ResidentWeightFault(0, (-1, 0, 0, 0), 1, 1),
+         r"weight coords \(-1, 0, 0, 0\) invalid for layer 0"),
+        (ResidentWeightFault(3, (0, 0, 0, 0), 1, 1),
+         r"layer 3 \(features.4\) has no weights"),
+    ])
+    def test_invalid_fault_raises_before_any_write(self, fi, bad, match):
+        good = sample_resident_faults(
+            fi, 40, np.random.default_rng(4), stuck=1, bit=30,
+            layers=self.WEIGHTED).faults
+        before = all_weight_bytes(fi)
+        resident = ResidentFaultSet(good[:20] + (bad,) + good[20:])
+        with pytest.raises(ValueError, match=match):
+            resident.apply(fi)
+        assert all_weight_bytes(fi) == before
+        # Nothing is held applied: a valid set still swaps in and out.
+        valid = ResidentFaultSet(good)
+        valid.apply(fi)
+        valid.restore()
+        assert all_weight_bytes(fi) == before
+
+    def test_error_names_the_earliest_offending_fault(self, fi):
+        faults = [ResidentWeightFault(0, (0, 0, 0, 0), 1, 1),
+                  ResidentWeightFault(10, (99, 0), 1, 1),
+                  ResidentWeightFault(0, (99, 0, 0, 0), 1, 1)]
+        with pytest.raises(ValueError, match=r"\(99, 0\) invalid for layer 10"):
+            ResidentFaultSet(faults).apply(fi)
+
+
+class TestFingerprint:
+    FAULTS = (ResidentWeightFault(layer=3, coords=(1, 2, 0, 1), bit=30, stuck=1),
+              ResidentWeightFault(layer=0, coords=(0, 0, 0, 0), bit=5, stuck=0),
+              ResidentWeightFault(layer=20, coords=(7, 9), bit=0, stuck=1))
+
+    def test_float32_digest_is_pinned(self):
+        # Journals and repro.scenario.sweep/1 artifacts pin this digest.
+        resident = ResidentFaultSet(self.FAULTS)
+        assert resident.fingerprint == (
+            "5ebbf674b70b02de464a7c64d62a69b4f895c6857d4bd82eacb253e115b9a471")
+
+    def test_int8_digest_is_pinned(self):
+        from repro.core import QuantizationParams
+
+        params = [QuantizationParams(0.01 * (i + 1), 8) for i in range(21)]
+        resident = ResidentFaultSet(self.FAULTS, quantization=params)
+        assert resident.fingerprint == (
+            "9cea166b6ca7e4757190061b03ad8dd930154860fae9f72736f38826f573f15f")
+
+    def test_order_independent(self):
+        assert (ResidentFaultSet(self.FAULTS).fingerprint
+                == ResidentFaultSet(self.FAULTS[::-1]).fingerprint)
+
+
 class TestAccumulatedSweep:
     def test_int8_artifact_deterministic_and_schema(self, tmp_path):
         cfg = scenario("accumulated", seed=13, fault={"quantize": True})
