@@ -200,24 +200,6 @@ def apply_chunk_perf(campaign, perf):
         setattr(d, key, getattr(d, key) + int(perf.get(key, 0)))
 
 
-def fold_chunk_tallies(record, per_layer_inj, per_layer_cor):
-    """Fold one chunk record's per-layer tallies into the given arrays.
-
-    Lane-packed chunks may mix layers, so records carry per-position
-    ``tallies`` — ``[layer, corrupted]`` pairs in batch-lane order.
-    Single-layer records without them (the scalar ``layer`` field) still
-    fold, so older journal records stay readable.
-    """
-    tallies = record.get("tallies")
-    if tallies:
-        for layer, corrupted in tallies:
-            per_layer_inj[int(layer)] += 1
-            per_layer_cor[int(layer)] += int(corrupted)
-    elif record.get("layer") is not None:
-        per_layer_inj[record["layer"]] += record["injections"]
-        per_layer_cor[record["layer"]] += record["corruptions"]
-
-
 # ---------------------------------------------------------------------- #
 # Crash-consistent journal
 # ---------------------------------------------------------------------- #

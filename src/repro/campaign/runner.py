@@ -20,8 +20,11 @@ whether lanes are packed or not.
 
 from __future__ import annotations
 
+import multiprocessing
+import signal
 import time
-from contextlib import nullcontext
+import warnings
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,9 +39,21 @@ from ..profile.profiler import coerce_profiler
 from ..tensor import Tensor, no_grad
 from ..tensor import rng as _rng
 from .criteria import as_criterion
+from .recovery import (
+    apply_chunk_perf,
+    chunk_record_events,
+    open_journal,
+    perf_delta,
+    perf_snapshot,
+)
 from .resume import DEFAULT_BUDGET_BYTES, CampaignResumeEngine
 from .stats import Proportion
 from .trace import margin
+
+#: Chunk-record keys that belong in a journal record (observe events and
+#: other bulky worker payload stay out of the journal).
+_JOURNAL_KEYS = ("layer", "positions", "injections", "corruptions", "tallies",
+                 "perf", "trace_events")
 
 
 @dataclass
@@ -73,6 +88,51 @@ class CampaignResult:
             f"CampaignResult({self.network}, {self.criterion}): "
             f"corruption rate {self.proportion}"
         )
+
+
+class CampaignInterrupted(KeyboardInterrupt):
+    """A campaign shut down gracefully on SIGINT/SIGTERM.
+
+    Raised by :meth:`InjectionCampaign.run`, in-process or forked, after
+    in-flight chunks drained (forked) or were abandoned unjournaled
+    (in-process), the journal and sinks flushed, and every child
+    terminated.  ``partial`` summarises what completed so
+    callers (the CLI, experiment drivers) can report progress and point at
+    the journal for resumption.
+    """
+
+    def __init__(self, partial):
+        self.partial = partial
+        super().__init__(
+            f"campaign interrupted: {partial['completed_injections']}"
+            f"/{partial['n_injections']} injections completed"
+            + (f", journaled to {partial['journal']}" if partial.get("journal")
+               else ""))
+
+
+def _raise_keyboard_interrupt(signum, frame):
+    raise KeyboardInterrupt
+
+
+@contextmanager
+def _sigterm_raises_interrupt():
+    """Map SIGTERM to ``KeyboardInterrupt`` for the duration of a run.
+
+    SIGTERM then gets the graceful treatment Ctrl-C gets: completed chunks
+    stay journaled, the flight recorder dumps, and ``CampaignInterrupted``
+    reports the partial progress.  Handlers only install from the main
+    thread; elsewhere SIGTERM keeps its default disposition and the journal
+    still survives (it is fsync'd per record).
+    """
+    try:
+        previous = signal.signal(signal.SIGTERM, _raise_keyboard_interrupt)
+    except ValueError:
+        previous = None
+    try:
+        yield
+    finally:
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
 
 
 class InjectionCampaign:
@@ -199,15 +259,16 @@ class InjectionCampaign:
                 modules = [m for _, m in self.fi._iter_instrumentable(self._work_model)]
                 self._lane_groups = [seg.segment_of(m) for m in modules]
         # Resident (persistent) weight faults — see repro.scenario.  The
-        # active set lives here for the duration of one run() so nested
-        # dispatches (parallel fallback) and the journal fingerprint see
-        # it; the fingerprint of the set the resume cache was captured
-        # under persists across runs to drive invalidation.
+        # active set lives here for the duration of one run() so forked
+        # workers and the journal fingerprint see it; the fingerprint of the
+        # set the resume cache was captured under persists across runs to
+        # drive invalidation.
         self._resident_active = None
         self._resident_cache_key = None
-        # Cache/capture work done by parallel workers (their private forked
-        # engines) never advances this process's engine counters; the deltas
-        # accumulate here so ``perf`` reports fleet totals either way.
+        # Cache/capture work done elsewhere — by parallel workers' private
+        # forked engines, or by the run that journaled a resumed chunk —
+        # never advances this process's engine counters; the deltas
+        # accumulate here so ``perf`` reports whole-campaign totals.
         self._parallel_deltas = CampaignPerfCounters()
         self.parallel_info = None  # set by parallel runs, see campaign.parallel
         with self.profiler.span("campaign.pool", cat="campaign", pool_size=pool_size):
@@ -393,44 +454,34 @@ class InjectionCampaign:
         finally:
             self.fi.reset()
 
-    def _execute_plan(self, chunks, pool_idx, layers, coords, seeds, *,
-                      observer=None, events=None, on_progress=None,
-                      on_chunk=None, chunk_ids=None):
-        """Execute ``chunks`` of an upfront plan; returns per-layer tallies.
+    def _execute_plan(self, chunks, chunk_ids, plan, *, on_chunk, observer=None,
+                      record_events=False):
+        """Execute the chunks named by ``chunk_ids`` of an upfront plan.
 
-        The shared execution core of the serial path and each parallel
-        worker (which runs it over its shard of the chunk list): every
-        random decision is already in the plan arrays, so this method draws
-        from no generator and its results depend only on ``chunks``.
+        The execution core of both strategies of :meth:`run` — in-process
+        over every pending chunk, and inside each forked worker one chunk
+        at a time: every random decision is already in the plan arrays, so
+        this method draws from no generator and its results depend only on
+        the chunks it runs.
 
-        ``events``, when not None, is a mutable mapping (list or dict)
-        filled with one trace-event dict per plan position.
-
-        ``on_chunk(chunk_id, info)``, when set, fires after every chunk
-        with a JSON-serialisable completion record — layer, positions,
-        injection/corruption counts, the chunk's perf-counter deltas, and
-        (when tracing) its trace events.  The journal writer and the
-        parallel workers' per-chunk reports are both built from it;
-        ``chunk_ids`` names each chunk's global plan id (defaults to its
-        position in ``chunks``).  Returns ``(per_layer_injections,
-        per_layer_corruptions, corrupted_total)``.
+        ``on_chunk(chunk_id, record)`` fires after every chunk with its
+        JSON-serialisable completion record — its only output: layer,
+        positions, injection/corruption counts, per-lane ``[layer,
+        corrupted]`` tallies, the chunk's perf-counter deltas, and (with
+        ``record_events``) its trace events.  The run-state accumulator
+        folds these records and the journal stores them verbatim.
         """
-        from . import recovery as recovery_mod
-
+        pool_idx, layers, coords, seeds = plan
         prof = self.profiler
         chunk_hist = prof.metrics.histogram(
             "campaign.chunk_seconds", help="wall clock per injection chunk"
         ) if prof.enabled else None
         cache = self._resume.cache if self._resume is not None else None
-        per_layer_inj = np.zeros(self.fi.num_layers, dtype=np.int64)
-        per_layer_cor = np.zeros(self.fi.num_layers, dtype=np.int64)
-        corrupted_total = 0
-        for ci, positions in enumerate(chunks):
+        for cid in chunk_ids:
+            positions = chunks[cid]
             layer_idx = int(layers[positions[0]])
             idx = pool_idx[positions]
-            perf_before = (recovery_mod.perf_snapshot(self)
-                           if on_chunk is not None else None)
-            corrupted_before = corrupted_total
+            perf_before = perf_snapshot(self)
             cache_before = (
                 (cache.hits, cache.misses, cache.evictions)
                 if cache is not None and prof.enabled else None
@@ -454,25 +505,11 @@ class InjectionCampaign:
             self.perf.forwards_saved += len(positions) - 1
             self.perf.resumed_forwards += int(resumed)
             flags = self.criterion(logits, self.pool_labels[idx], self.pool_logits[idx])
-            if events is not None:
-                margins_before = margin(self.pool_logits[idx], self.pool_labels[idx])
-                margins_after = margin(logits, self.pool_labels[idx])
-            for b, p in enumerate(positions):
-                per_layer_inj[int(layers[p])] += 1
-                if flags[b]:
-                    per_layer_cor[int(layers[p])] += 1
-                    corrupted_total += 1
-                if events is not None:
-                    events[p] = dict(
-                        layer=int(layers[p]),
-                        coords=coords[p],
-                        batch_slot=b,
-                        label=int(self.pool_labels[idx][b]),
-                        predicted=int(logits[b].argmax()),
-                        corrupted=bool(flags[b]),
-                        margin_before=float(margins_before[b]),
-                        margin_after=float(margins_after[b]),
-                    )
+            # Per-lane [layer, corrupted] pairs: lane-packed chunks may mix
+            # layers, so per-layer tallies fold from these.
+            tallies = [[int(layers[p]), int(bool(flags[b]))]
+                       for b, p in enumerate(positions)]
+            corruptions = sum(corrupted for _, corrupted in tallies)
             if observer is not None:
                 with prof.span("campaign.observe", cat="campaign",
                                phase="record", layer=layer_idx):
@@ -492,36 +529,40 @@ class InjectionCampaign:
                     )
             if self.telemetry is not None:
                 self.telemetry.publish("campaign", "chunk", {
-                    "chunk": int(chunk_ids[ci]) if chunk_ids is not None else ci,
+                    "chunk": int(cid),
                     "layer": layer_idx,
                     "injections": len(positions),
                     "lanes": len(positions),
-                    "corruptions": int(corrupted_total - corrupted_before),
+                    "corruptions": corruptions,
                     "resumed": bool(resumed),
                     "elapsed_s": float(chunk_elapsed),
                 })
-            if on_chunk is not None:
-                info = {
-                    "layer": layer_idx,
-                    "positions": [int(p) for p in positions],
-                    "injections": len(positions),
-                    "corruptions": int(corrupted_total - corrupted_before),
-                    # Per-lane [layer, corrupted] pairs: lane-packed chunks
-                    # may mix layers, so per-layer tallies fold from these.
-                    "tallies": [[int(layers[p]), int(bool(flags[b]))]
-                                for b, p in enumerate(positions)],
-                    "perf": recovery_mod.perf_delta(self, perf_before),
-                }
-                if events is not None:
-                    info["trace_events"] = [
-                        [int(p), {**events[p],
-                                  "coords": [int(c) for c in events[p]["coords"]]}]
-                        for p in positions
-                    ]
-                on_chunk(chunk_ids[ci] if chunk_ids is not None else ci, info)
-            if on_progress is not None:
-                on_progress(len(positions))
-        return per_layer_inj, per_layer_cor, corrupted_total
+            record = {
+                "layer": layer_idx,
+                "positions": [int(p) for p in positions],
+                "injections": len(positions),
+                "corruptions": corruptions,
+                "tallies": tallies,
+                "perf": perf_delta(self, perf_before),
+            }
+            if record_events:
+                labels = self.pool_labels[idx]
+                margins_before = margin(self.pool_logits[idx], labels)
+                margins_after = margin(logits, labels)
+                record["trace_events"] = [
+                    [int(p), dict(
+                        layer=int(layers[p]),
+                        coords=[int(c) for c in coords[p]],
+                        batch_slot=b,
+                        label=int(labels[b]),
+                        predicted=int(logits[b].argmax()),
+                        corrupted=bool(flags[b]),
+                        margin_before=float(margins_before[b]),
+                        margin_after=float(margins_after[b]),
+                    )]
+                    for b, p in enumerate(positions)
+                ]
+            on_chunk(cid, record)
 
     def _finalize_perf(self, n_injections, elapsed_s):
         """Fold one run's execution into the lifetime ``perf`` counters.
@@ -597,12 +638,13 @@ class InjectionCampaign:
 
         ``workers=N`` (N > 1) shards the plan's chunks across N fork-based
         worker processes via
-        :class:`~repro.campaign.parallel.ParallelCampaignExecutor`.  The
-        plan is drawn in this process with the exact generator consumption
-        of a serial run and every injection carries a pinned seed, so
+        :class:`~repro.campaign.parallel.ParallelCampaignExecutor`.  Only
+        the execution step differs from ``workers=1``: the plan is drawn,
+        the journal opened, chunk records folded, and the result finished
+        here either way, and every injection carries a pinned seed, so
         outcomes, per-layer vulnerability, and telemetry events are
         bitwise-identical to ``workers=1`` — only wall clock changes.  On
-        platforms without ``fork`` the campaign falls back to serial with a
+        platforms without ``fork`` the campaign runs in-process with a
         :class:`RuntimeWarning`.
 
         ``journal=`` names a crash-consistent write-ahead log
@@ -613,6 +655,12 @@ class InjectionCampaign:
         ``kill -9`` — with bitwise-identical results.  A journal written
         for a different plan or model is rejected with
         :class:`~repro.campaign.recovery.JournalMismatchError`.
+
+        SIGINT and SIGTERM (when ``run`` is called from the main thread)
+        stop the run gracefully, with or without workers: completed chunks
+        stay journaled and :class:`CampaignInterrupted` is raised, its
+        ``partial`` naming the completed injection count and the journal
+        to resume from.
 
         ``recovery=`` (parallel runs only) is a
         :class:`~repro.campaign.recovery.RecoveryPolicy` (or kwargs dict)
@@ -650,25 +698,25 @@ class InjectionCampaign:
             raise ValueError(f"workers must be >= 1, got {workers}")
         from ..telemetry import coerce_bus
 
-        # A nested dispatch (the parallel executor's serial fallback) runs
-        # inside the outer call's resident session; don't re-enter it.
-        nested = resident is None and self._resident_active is not None
-        if not nested:
-            self._begin_resident_session(resident)
-        # Same nesting rule for the bus: the outer call owns the lifecycle
-        # events and the flight dump; a nested dispatch publishes through
-        # the already-attached bus without re-announcing the run.
-        bus = coerce_bus(telemetry)
-        owns_bus = not (bus is None and self.telemetry is not None)
-        if owns_bus:
-            self.telemetry = bus
-        tel = self.telemetry
-        recorder = getattr(tel, "recorder", None) if owns_bus else None
+        executor = None
+        if workers > 1:
+            if "fork" in multiprocessing.get_all_start_methods():
+                from .parallel import ParallelCampaignExecutor
+
+                executor = ParallelCampaignExecutor(self, workers, recovery=recovery)
+            else:
+                warnings.warn(
+                    "fork start method unavailable; parallel campaign falling "
+                    "back to serial execution", RuntimeWarning, stacklevel=2)
+        self.parallel_info = None
+        self._begin_resident_session(resident)
+        tel = self.telemetry = coerce_bus(telemetry)
+        recorder = getattr(tel, "recorder", None)
         # Failure sites closer to the fault (fleet-exhausted, quarantine)
         # dump the flight recorder themselves with a sharper reason; the
         # mark keeps this outer catch-all from dumping a second time.
         dump_mark = len(recorder.dumps) if recorder is not None else None
-        if tel is not None and owns_bus:
+        if tel is not None:
             tel.publish("campaign", "run_start", {
                 "network": self.network_name,
                 "n_injections": int(n_injections),
@@ -677,41 +725,17 @@ class InjectionCampaign:
                 "journal": str(journal) if journal is not None else None,
             })
         try:
-            if workers > 1:
-                from .parallel import ParallelCampaignExecutor
-
-                result = ParallelCampaignExecutor(self, workers, recovery=recovery).run(
-                    n_injections, confidence=confidence, progress=progress,
-                    trace=trace, observe=observe, journal=journal)
-            else:
-                # Serial runs get the same graceful SIGTERM treatment as the
-                # parallel executor: map it to KeyboardInterrupt so the
-                # journal footer, partial result, and flight dump all land.
-                # Handlers only install from the main thread; elsewhere the
-                # default disposition stays and the journal still survives.
-                import signal
-
-                from .parallel import _raise_keyboard_interrupt
-                try:
-                    previous_sigterm = signal.signal(
-                        signal.SIGTERM, _raise_keyboard_interrupt)
-                except ValueError:
-                    previous_sigterm = None
-                try:
-                    result = self._run_serial(n_injections, confidence,
-                                              progress, trace, observe,
-                                              journal)
-                finally:
-                    if previous_sigterm is not None:
-                        signal.signal(signal.SIGTERM, previous_sigterm)
-            if tel is not None and owns_bus:
+            with _sigterm_raises_interrupt():
+                result = self._run_pipeline(n_injections, confidence, progress,
+                                            trace, observe, journal, executor)
+            if tel is not None:
                 tel.publish("campaign", "run_end", {
                     "injections": int(result.injections),
                     "corruptions": int(result.corruptions),
                 })
             return result
         except BaseException as err:
-            if tel is not None and owns_bus:
+            if tel is not None:
                 reason = ("interrupt" if isinstance(err, KeyboardInterrupt)
                           else type(err).__name__.lower())
                 tel.publish("campaign", "run_aborted",
@@ -722,105 +746,179 @@ class InjectionCampaign:
                     tel.dump_flight(reason, out_dir=out_dir)
             raise
         finally:
-            if owns_bus:
-                self.telemetry = None
-            if not nested:
-                self._end_resident_session()
+            self.telemetry = None
+            self._end_resident_session()
 
-    def _run_serial(self, n_injections, confidence, progress, trace, observe,
-                    journal):
-        """The single-process execution path of :meth:`run`."""
+    def _run_pipeline(self, n_injections, confidence, progress, trace, observe,
+                      journal, executor):
+        """Plan, journal, fold, execute, finish — the body of :meth:`run`.
+
+        Only step 4 depends on the execution strategy: in-process
+        :meth:`_execute_plan` when ``executor`` is None, else the forked
+        fleet.  Both feed the same :class:`_RunState`, whose fold journals
+        each chunk record before counting it.
+        """
         progress = coerce_progress(progress, self)
-        observer = None
-        if observe is not None and observe is not False:
-            from ..observe import coerce_tracer
-
-            observer = coerce_tracer(observe)
-            observer.attach(self)
-            self.observer = observer
-        started = time.perf_counter()
-        prof = self.profiler
-        with prof.span("campaign.plan", cat="campaign", injections=n_injections):
-            pool_idx, layers, coords, seeds = self._plan(n_injections)
-        chunks = self._chunks(layers, n_injections)
-        journal_log = None
-        completed = {}
-        if journal is not None:
-            from . import recovery as recovery_mod
-
-            journal_log, completed = recovery_mod.open_journal(
-                journal, self, n_injections,
-                (pool_idx, layers, coords, seeds), len(chunks))
-        # A journal always captures trace events: the run that resumes it
-        # may ask for a trace even if this (interrupted) one did not.
-        record_events = trace is not None or journal is not None
-        events = [None] * n_injections if record_events else None
-        done = 0
-
-        def on_progress(k):
-            nonlocal done
-            done += k
-            progress(done, n_injections)
-
+        tracer = journal_log = None
         try:
-            if observer is not None:
-                observer.begin(self, n_injections)
-            # Replay journaled chunks into the tallies without executing
-            # them; their perf records fold in through the same delta
-            # ledger parallel workers use, so a resumed run's counters
-            # match an undisturbed run's exactly.
-            per_layer_inj = np.zeros(self.fi.num_layers, dtype=np.int64)
-            per_layer_cor = np.zeros(self.fi.num_layers, dtype=np.int64)
-            corrupted_total = 0
-            for record in completed.values():
-                recovery_mod.fold_chunk_tallies(record, per_layer_inj,
-                                                per_layer_cor)
-                corrupted_total += record["corruptions"]
-                recovery_mod.apply_chunk_perf(self, record["perf"])
-                if events is not None:
-                    for p, ev in recovery_mod.chunk_record_events(record).items():
-                        events[p] = ev
-                if progress is not None:
-                    on_progress(record["injections"])
-            if self.telemetry is not None and completed:
-                self.telemetry.publish("campaign", "progress", {
-                    "done": int(per_layer_inj.sum()), "total": int(n_injections)})
-            remaining_ids = [i for i in range(len(chunks)) if i not in completed]
-            exec_inj, exec_cor, exec_corrupted = self._execute_plan(
-                [chunks[i] for i in remaining_ids], pool_idx, layers, coords, seeds,
-                observer=observer, events=events,
-                on_progress=on_progress if progress is not None else None,
-                on_chunk=journal_log.write_chunk if journal_log is not None else None,
-                chunk_ids=remaining_ids)
-            per_layer_inj += exec_inj
-            per_layer_cor += exec_cor
-            corrupted_total += exec_corrupted
+            if observe is not None and observe is not False:
+                from ..observe import coerce_tracer
+
+                tracer = coerce_tracer(observe)
+                # Raises for weight campaigns — before any fork.  Forked
+                # workers inherit the attached tracer.
+                tracer.attach(self)
+                self.observer = tracer
+            started = time.perf_counter()
+            # 1. Plan and chunk.
+            with self.profiler.span("campaign.plan", cat="campaign",
+                                    injections=n_injections):
+                plan = self._plan(n_injections)
+            chunks = self._chunks(plan[1], n_injections)
+            # 2. Open the journal.
+            completed = {}
+            if journal is not None:
+                journal_log, completed = open_journal(
+                    journal, self, n_injections, plan, len(chunks))
+            # A journal always captures trace events: the run that resumes
+            # it may ask for a trace even if this (interrupted) one did not.
+            state = _RunState(self, n_injections, plan, chunks, journal_log,
+                              progress, trace is not None or journal is not None)
+            if tracer is not None:
+                tracer.begin(self, n_injections)  # header first, sized buffer
+                if hasattr(tracer.sink, "flush"):
+                    tracer.sink.flush()  # nothing buffered crosses a fork
+            # 3. Fold the journaled records.
+            state.fold_journaled(completed)
+            # 4. Execute the pending chunks.
+            try:
+                if executor is not None:
+                    executor.execute(state, tracer)
+                else:
+                    self._execute_plan(chunks, state.pending(), plan,
+                                       observer=tracer,
+                                       record_events=state.record_events,
+                                       on_chunk=state.fold_chunk)
+            except KeyboardInterrupt:
+                raise CampaignInterrupted(state.partial()) from None
+            # 5. Finish.
+            elapsed = time.perf_counter() - started
+            if executor is not None:
+                executor.merge(elapsed)
+            self._finalize_perf(state.completed_injections, elapsed)
             if trace is not None:
-                for event in events:
-                    trace.record(**event)
-            self._finalize_perf(n_injections, time.perf_counter() - started)
+                for p in sorted(state.trace_events):
+                    trace.record(**state.trace_events[p])
             result = CampaignResult(
                 network=self.network_name,
                 criterion=self.criterion_name,
-                injections=n_injections,
-                corruptions=corrupted_total,
+                injections=state.completed_injections,
+                corruptions=state.corrupted_total,
                 confidence=confidence,
-                per_layer_injections=per_layer_inj,
-                per_layer_corruptions=per_layer_cor,
+                per_layer_injections=state.per_layer_inj,
+                per_layer_corruptions=state.per_layer_cor,
             )
-            if journal_log is not None:
+            if journal_log is not None and not state.quarantined:
                 journal_log.write_footer(result)
                 if self.telemetry is not None:
                     self.telemetry.publish("recovery", "journal_complete", {
                         "path": str(journal_log.path),
                         "chunks_written": int(journal_log.records_written),
                     })
-            if observer is not None:
-                observer.finish(self, result)
-            _finish_progress(progress, n_injections, n_injections)
+            if tracer is not None:
+                tracer.finish(self, result)
+            # A quarantined chunk leaves completed < total, so a heartbeat's
+            # own final-tick bypass never fires; force its terminal line.
+            _finish_progress(progress, state.completed_injections, n_injections)
             return result
         finally:
             if journal_log is not None:
                 journal_log.close()
-            if observer is not None:
-                observer.detach()
+            if tracer is not None:
+                if hasattr(tracer.sink, "flush"):
+                    tracer.sink.flush()
+                tracer.detach()
+
+
+class _RunState:
+    """The accumulator one :meth:`InjectionCampaign.run` folds chunks into.
+
+    Journaled records, in-process executions, and worker payloads all
+    arrive as the same chunk record (see ``_execute_plan``), so per-layer
+    tallies, trace events, and progress have one fold whatever executed
+    the chunk.  Perf deltas are applied only for records this process's
+    counters did not already count: journaled chunks and workers' chunks.
+    """
+
+    def __init__(self, campaign, n_injections, plan, chunks, journal, progress,
+                 record_events):
+        self.campaign = campaign
+        self.n_injections = n_injections
+        self.plan = plan
+        self.chunks = chunks
+        self.journal = journal
+        self.progress = progress
+        self.record_events = record_events
+        self.per_layer_inj = np.zeros(campaign.fi.num_layers, dtype=np.int64)
+        self.per_layer_cor = np.zeros(campaign.fi.num_layers, dtype=np.int64)
+        self.corrupted_total = 0
+        self.completed_injections = 0
+        self.trace_events = {}
+        self.done = set()
+        self.quarantined = {}
+
+    def pending(self):
+        """Chunk ids not yet folded, in plan order."""
+        return [cid for cid in range(len(self.chunks)) if cid not in self.done]
+
+    def fold_journaled(self, completed):
+        """Replay journaled chunk records without executing them."""
+        for cid, record in completed.items():
+            self._fold(cid, record, apply_perf=True)
+        if self.completed_injections:
+            if self.progress is not None:
+                self.progress(self.completed_injections, self.n_injections)
+            bus = self.campaign.telemetry
+            if bus is not None:
+                bus.publish("campaign", "progress", {
+                    "done": self.completed_injections, "total": self.n_injections})
+
+    def fold_chunk(self, cid, record, apply_perf=False):
+        """Fold one freshly executed chunk; journal it durably first."""
+        if self.journal is not None:
+            self.journal.write_chunk(
+                cid, {k: record[k] for k in _JOURNAL_KEYS if k in record})
+        self._fold(cid, record, apply_perf)
+        if self.progress is not None:
+            self.progress(self.completed_injections, self.n_injections)
+
+    def _fold(self, cid, record, apply_perf):
+        self.done.add(cid)
+        for layer, corrupted in record["tallies"]:
+            self.per_layer_inj[layer] += 1
+            self.per_layer_cor[layer] += corrupted
+        self.corrupted_total += record["corruptions"]
+        self.completed_injections += record["injections"]
+        if apply_perf:
+            apply_chunk_perf(self.campaign, record["perf"])
+        self.trace_events.update(chunk_record_events(record))
+
+    def quarantine(self, cid, detail):
+        """Give up on a chunk: record its base layer, positions, and error."""
+        positions = self.chunks[cid]
+        self.quarantined[cid] = {
+            "layer": int(self.plan[1][positions[0]]),
+            "positions": [int(p) for p in positions],
+            "injections": len(positions),
+            "error": detail,
+        }
+
+    def partial(self):
+        """What completed before an interrupt (``CampaignInterrupted.partial``)."""
+        return {
+            "completed_injections": self.completed_injections,
+            "n_injections": self.n_injections,
+            "journal": str(self.journal.path) if self.journal is not None else None,
+            "completed_chunks": len(self.done),
+            "n_chunks": len(self.chunks),
+        }

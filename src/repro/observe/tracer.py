@@ -124,17 +124,14 @@ class PropagationTracer:
     def close(self):
         self.sink.close()
 
-    def begin(self, campaign, n_injections, emit_header=True):
+    def begin(self, campaign, n_injections):
         """Size the plan-ordered event buffer and emit the campaign header.
 
-        Parallel workers observe a *shard* of a campaign: they pass
-        ``emit_header=False`` so only the parent writes the one
-        ``campaign_start`` record, while every worker still buffers its
-        injection events by plan position.
+        Parallel workers inherit the parent's begun tracer through the
+        fork, so the one ``campaign_start`` record is the parent's while
+        every worker still buffers its injection events by plan position.
         """
         self._pending = [None] * n_injections
-        if not emit_header:
-            return
         self.sink.emit({
             "type": "campaign_start",
             "v": EVENT_SCHEMA_VERSION,

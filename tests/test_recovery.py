@@ -372,7 +372,9 @@ class TestParallelChaos:
         n = 48
         campaign = _campaign(model, dataset)
         probe = _campaign(model, dataset)
-        bad = set(probe._chunks(probe._plan(n)[1], n)[0])
+        probe_layers = probe._plan(n)[1]
+        bad_chunk = probe._chunks(probe_layers, n)[0]
+        bad = set(bad_chunk)
         orig = type(campaign)._execute_chunk
         parent = os.getpid()
 
@@ -390,6 +392,10 @@ class TestParallelChaos:
         assert info["retries"] == 2
         assert info["quarantined"][0]["error"].splitlines()[-1].endswith(
             "poisoned chunk")
+        # The record names the chunk's positions and its base layer (its
+        # first, shallowest site in layer-sorted order).
+        assert info["quarantined"][0]["positions"] == bad_chunk
+        assert info["quarantined"][0]["layer"] == int(probe_layers[bad_chunk[0]])
         assert result.injections == n - len(bad)
         assert campaign.perf.chunks_quarantined == 1
         # The healthy remainder still matches the serial per-layer tallies.
@@ -493,20 +499,20 @@ def _science(record):
 class TestInterruptAndResume:
     N = 1200
     CAMPAIGN = ["inject", "alexnet", "--dataset", "cifar10", "--scale", "smoke",
-                "--campaign", str(N), "--batch-size", "1", "--workers", "2",
-                "--json"]
+                "--campaign", str(N), "--batch-size", "1", "--json"]
 
     @pytest.fixture(scope="class")
     def undisturbed(self):
-        proc = _cli(self.CAMPAIGN)
+        proc = _cli(self.CAMPAIGN + ["--workers", "2"])
         out, err = proc.communicate(timeout=600)
         assert proc.returncode == 0, err
         return json.loads(out)
 
-    def _interrupt_then_resume(self, tmp_path, sig):
+    def _interrupt_then_resume(self, tmp_path, sig, workers=2):
         journal = tmp_path / "j.jsonl"
-        proc = _cli(self.CAMPAIGN + ["--journal", str(journal)],
-                    start_new_session=True)
+        args = self.CAMPAIGN + ["--workers", str(workers),
+                                "--journal", str(journal)]
+        proc = _cli(args, start_new_session=True)
         try:
             _wait_for_journal(journal, min_chunks=5)
             proc.send_signal(sig)
@@ -519,7 +525,7 @@ class TestInterruptAndResume:
         assert interrupted[1], "no chunks were journaled before the signal"
         assert not interrupted[2], "campaign finished before the signal landed"
 
-        resume = _cli(self.CAMPAIGN + ["--journal", str(journal)])
+        resume = _cli(args)
         out2, err2 = resume.communicate(timeout=600)
         assert resume.returncode == 0, err2
         record = json.loads(out2)
@@ -529,12 +535,15 @@ class TestInterruptAndResume:
         assert complete and len(chunks) == self.N
         return proc.returncode, out, record
 
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_sigterm_drains_and_resume_matches_undisturbed(self, tmp_path,
-                                                           undisturbed):
-        rc, out, resumed = self._interrupt_then_resume(tmp_path, signal.SIGTERM)
-        # Graceful shutdown: rc 130, a partial-progress JSON record, and no
-        # orphan workers (communicate() returning at all proves the parent
-        # exited; orphans would have kept its stdout pipe open).
+                                                           undisturbed, workers):
+        rc, out, resumed = self._interrupt_then_resume(
+            tmp_path, signal.SIGTERM, workers)
+        # Graceful shutdown, in-process or forked: rc 130, a partial-progress
+        # JSON record, and no orphan workers (communicate() returning at all
+        # proves the parent exited; orphans would have kept its stdout pipe
+        # open).
         assert rc == 130
         partial = json.loads(out)
         assert partial["interrupted"] is True
