@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shlex
 import sys
 from pathlib import Path
 
@@ -260,6 +261,27 @@ def _inject_fail(args, message):
     return 2
 
 
+# ``repro inject`` flags that shape a campaign's plan: a resume command must
+# repeat every non-default one, or the journal's plan fingerprint mismatches.
+_PLAN_FLAGS = (("--dataset", "dataset"), ("--scale", "scale"),
+               ("--batch-size", "batch_size"), ("--layer", "layer"),
+               ("--no-lane-packing", "no_lane_packing"))
+
+
+def _resume_command(args, journal):
+    """The shell command that resumes ``args``' interrupted campaign."""
+    defaults = build_parser().parse_args(["inject", args.model])
+    words = ["repro", "inject", args.model, "--campaign", str(args.campaign),
+             "--seed", str(args.seed)]
+    for flag, dest in _PLAN_FLAGS:
+        value = getattr(args, dest)
+        if value == getattr(defaults, dest):
+            continue
+        words += [flag] if isinstance(value, bool) else [flag, str(value)]
+    words += ["--journal", str(journal)]
+    return shlex.join(words)
+
+
 def _inject_campaign(args):
     """``repro inject --campaign N``: a scriptable injection campaign.
 
@@ -323,9 +345,8 @@ def _inject_campaign(args):
                   f"/{partial['n_injections']} injections completed",
                   file=sys.stderr)
             if partial.get("journal"):
-                print(f"resume with: repro inject {args.model} --campaign "
-                      f"{args.campaign} --seed {args.seed} --journal "
-                      f"{partial['journal']}", file=sys.stderr)
+                print(f"resume with: {_resume_command(args, partial['journal'])}",
+                      file=sys.stderr)
             if bus.recorder.last_dump is not None:
                 print(f"flight dump: {bus.recorder.last_dump}", file=sys.stderr)
         return 130

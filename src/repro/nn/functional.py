@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..tensor import Tensor
+from ..tensor import Tensor, is_grad_enabled
 from ..tensor import rng as _rng
 
 
@@ -254,8 +254,69 @@ def linear(x, weight, bias=None):
     return out
 
 
+def _has_negative_zero(a):
+    """Whether float array ``a`` holds a -0.0 (one integer-view compare)."""
+    bits = a.view(f"u{a.itemsize}")
+    return bool((bits == 1 << (8 * a.itemsize - 1)).any())
+
+
+def _running_max(taps, exact):
+    """Row-major first-occurrence maximum over same-shape strided ``taps``.
+
+    The accumulator is always a fresh C-contiguous array.  The exact rule
+    is ``numpy.argmax``'s: a later tap replaces the running value where the
+    running value is not NaN and ``not (tap <= running)``, so the first NaN
+    (payload intact) or the first of tied maxima (-0.0 vs +0.0 included)
+    wins.  The fast rule is ``np.maximum``, which agrees bit for bit
+    whenever no -0.0 and no NaN take part; the caller checks that and
+    redoes the reduction exactly otherwise.
+    """
+    if exact or len(taps) == 1:
+        acc, rest = np.array(taps[0], order="C"), taps[1:]
+    else:
+        acc, rest = np.maximum(taps[0], taps[1], order="C"), taps[2:]
+    for tap in rest:
+        if exact:
+            take = np.less_equal(tap, acc)
+            np.logical_not(take, out=take)
+            take &= acc == acc
+            np.copyto(acc, tap, where=take)
+        else:
+            np.maximum(acc, tap, out=acc)
+    return acc
+
+
+def _pool_max(padded, kernel_hw, stride_hw, out_hw, exact):
+    """Window maxima of a padded NCHW array as a running max over shifted views.
+
+    The reduction is separable: columns first, then rows.  Each row's
+    first maximum, then the first row holding the overall maximum, is the
+    row-major first occurrence again, and with overlapping windows
+    (GoogLeNet's 3x3/s1 pools) it takes ``KH + KW`` passes instead of
+    ``KH * KW``.  Even without overlap the two passes beat ``KH * KW``
+    taps that each stride through the input.
+    """
+    kh, kw = kernel_hw
+    sh, sw = stride_hw
+    oh, ow = out_hw
+    row_span = sh * (oh - 1) + 1
+    col_span = sw * (ow - 1) + 1
+    rows = padded[:, :, : row_span + kh - 1]
+    cols = _running_max(
+        [rows[:, :, :, j : j + col_span : sw] for j in range(kw)], exact)
+    return _running_max(
+        [cols[:, :, i : i + row_span : sh] for i in range(kh)], exact)
+
+
 def max_pool2d(x, kernel_size, stride=None, padding=0):
-    """Max pooling over NCHW input with argmax-routed gradients."""
+    """Max pooling over NCHW input with argmax-routed gradients.
+
+    The output is bitwise what a per-window ``argmax`` selects (see
+    DESIGN.md §6, "Max-pool kernel"): a fast ``np.maximum`` running max,
+    re-done with the exact first-occurrence rule when the input holds a
+    -0.0 or the output a NaN.  The argmax itself is computed only when
+    the op records a graph, from the forward-time input.
+    """
     kh, kw = _pair(kernel_size)
     sh, sw = _pair(stride if stride is not None else kernel_size)
     ph, pw = _pair(padding)
@@ -264,12 +325,19 @@ def max_pool2d(x, kernel_size, stride=None, padding=0):
     ow = _conv_output_size(w, kw, sw, pw)
     xd = x.data
     if ph or pw:
-        padded = np.pad(xd, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=-np.inf)
+        padded = np.full((n, c, h + 2 * ph, w + 2 * pw), -np.inf, dtype=xd.dtype)
+        padded[:, :, ph : ph + h, pw : pw + w] = xd
     else:
         padded = xd
-    cols = _windows(padded, (kh, kw), (sh, sw)).reshape(n, c, oh, ow, kh * kw)
-    flat_arg = cols.argmax(axis=-1)
-    out = np.take_along_axis(cols, flat_arg[..., None], axis=-1)[..., 0]
+    geometry = ((kh, kw), (sh, sw), (oh, ow))
+    exact = _has_negative_zero(xd)
+    out = _pool_max(padded, *geometry, exact)
+    if not exact and np.isnan(out).any():
+        out = _pool_max(padded, *geometry, True)
+    flat_arg = None
+    if is_grad_enabled() and x.requires_grad:
+        cols = _windows(padded, (kh, kw), (sh, sw)).reshape(n, c, oh, ow, kh * kw)
+        flat_arg = cols.argmax(axis=-1)
 
     def backward(g):
         grad_padded = np.zeros_like(padded, dtype=g.dtype)
@@ -282,7 +350,7 @@ def max_pool2d(x, kernel_size, stride=None, padding=0):
             return (grad_padded[:, :, ph : ph + h, pw : pw + w],)
         return (grad_padded,)
 
-    return Tensor._from_op(np.ascontiguousarray(out), (x,), backward, "max_pool2d", x.device)
+    return Tensor._from_op(out, (x,), backward, "max_pool2d", x.device)
 
 
 def avg_pool2d(x, kernel_size, stride=None, padding=0):

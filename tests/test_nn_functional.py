@@ -1,11 +1,18 @@
 """Tests of the numpy kernels against naive references."""
 
+import hashlib
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
-from repro import nn
+from repro import models, nn
+from repro.core import FaultInjection
 from repro.nn import functional as F
-from repro.tensor import Tensor
+from repro.tensor import Tensor, no_grad
 
 from .conftest import assert_grad_close, numerical_gradient
 
@@ -99,6 +106,41 @@ class TestConv2d:
         assert_grad_close(b.grad, numerical_gradient(fn, b))
 
 
+def argmax_max_pool2d(x, kernel_size, stride=None, padding=0):
+    """Oracle: the per-window ``argmax`` + ``take_along_axis`` max-pool kernel.
+
+    This is the kernel ``F.max_pool2d`` replaced with a running max; its
+    output and its argmax-routed backward are the reference the running
+    max must match bit for bit.
+    """
+    kh, kw = F._pair(kernel_size)
+    sh, sw = F._pair(stride if stride is not None else kernel_size)
+    ph, pw = F._pair(padding)
+    n, c, h, w = x.shape
+    oh = (h + 2 * ph - kh) // sh + 1
+    ow = (w + 2 * pw - kw) // sw + 1
+    xd = x.data
+    if ph or pw:
+        padded = np.pad(xd, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=-np.inf)
+    else:
+        padded = xd
+    view = sliding_window_view(padded, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
+    cols = view.reshape(n, c, oh, ow, kh * kw)
+    flat_arg = cols.argmax(axis=-1)
+    out = np.take_along_axis(cols, flat_arg[..., None], axis=-1)[..., 0]
+
+    def backward(g):
+        grad_padded = np.zeros_like(padded, dtype=g.dtype)
+        ki, kj = np.unravel_index(flat_arg, (kh, kw))
+        ni, ci, oi, oj = np.indices((n, c, oh, ow), sparse=False)
+        np.add.at(grad_padded, (ni, ci, oi * sh + ki, oj * sw + kj), g)
+        if ph or pw:
+            return (grad_padded[:, :, ph : ph + h, pw : pw + w],)
+        return (grad_padded,)
+
+    return Tensor._from_op(np.ascontiguousarray(out), (x,), backward, "max_pool2d", x.device)
+
+
 class TestPooling:
     def test_max_pool_matches_naive(self, rng):
         x = rng.standard_normal((1, 2, 6, 6)).astype(np.float32)
@@ -146,6 +188,216 @@ class TestPooling:
         out = F.global_avg_pool2d(Tensor(x))
         assert out.shape == (2, 3, 1, 1)
         np.testing.assert_allclose(out.data[..., 0, 0], x.mean(axis=(2, 3)), rtol=1e-5)
+
+
+_SPECIALS = ("+0", "-0", "+inf", "-inf", "nan")
+
+
+def _special_bits(dtype, kind, payload):
+    """Raw bits of a special value; NaNs get a payload- and sign-distinct pattern."""
+    finfo = np.finfo(dtype)
+    sign = 1 << (finfo.bits - 1)
+    exponent = ((1 << finfo.nexp) - 1) << finfo.nmant
+    if kind == "+0":
+        return 0
+    if kind == "-0":
+        return sign
+    if kind == "+inf":
+        return exponent
+    if kind == "-inf":
+        return sign | exponent
+    mantissa = payload % ((1 << finfo.nmant) - 1) + 1
+    return (sign if payload % 2 else 0) | exponent | mantissa
+
+
+@st.composite
+def _pool_cases(draw):
+    """Pool geometry plus an input seeded with ties, signed zeros, infs and NaNs."""
+    kh, kw = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    sh, sw = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    ph, pw = draw(st.integers(0, kh // 2)), draw(st.integers(0, kw // 2))
+    h = draw(st.integers(max(1, kh - 2 * ph), 9))
+    w = draw(st.integers(max(1, kw - 2 * pw), 9))
+    shape = (draw(st.integers(1, 2)), draw(st.integers(1, 3)), h, w)
+    dtype = draw(st.sampled_from([np.float16, np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal(shape)
+    if draw(st.booleans()):
+        x = np.round(x * 2)  # coarse values: many ties, +0.0 and -0.0 both
+    x = x.astype(dtype)
+    bits = x.view(f"u{x.itemsize}").reshape(-1)
+    specials = draw(st.lists(st.tuples(st.sampled_from(_SPECIALS),
+                                       st.integers(0, 2**40)), max_size=8))
+    for kind, payload in specials:
+        bits[rng.integers(x.size)] = _special_bits(dtype, kind, payload)
+    return x, (kh, kw), (sh, sw), (ph, pw)
+
+
+def _spy_paths():
+    """Patch ``F._running_max`` to log the ``exact`` flag of every call."""
+    paths = []
+    real = F._running_max
+
+    def spy(taps, exact):
+        paths.append(exact)
+        return real(taps, exact)
+
+    return paths, mock.patch.object(F, "_running_max", spy)
+
+
+class TestMaxPoolKernel:
+    """The running-max kernel against the per-window argmax oracle, bit for bit."""
+
+    def test_forward_matches_argmax_oracle_bitwise(self):
+        paths, spy = _spy_paths()
+
+        @settings(max_examples=400, deadline=None)
+        @given(case=_pool_cases())
+        def check(case):
+            x, kernel, stride, padding = case
+            with no_grad():
+                got = F.max_pool2d(Tensor(x, dtype=x.dtype), kernel, stride, padding).data
+                want = argmax_max_pool2d(Tensor(x, dtype=x.dtype), kernel, stride,
+                                         padding).data
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.c_contiguous
+
+        with spy:
+            check()
+        # Both the np.maximum fast path and the first-occurrence exact
+        # path must have been exercised across the examples.
+        assert set(paths) == {False, True}
+
+    def test_gradient_matches_argmax_oracle_bitwise(self):
+        @settings(max_examples=150, deadline=None)
+        @given(case=_pool_cases(), seed=st.integers(0, 2**32 - 1))
+        def check(case, seed):
+            x, kernel, stride, padding = case
+            grads, outs = [], []
+            for pool in (F.max_pool2d, argmax_max_pool2d):
+                xt = Tensor(x.copy(), dtype=x.dtype, requires_grad=True)
+                out = pool(xt, kernel, stride, padding)
+                g = np.random.default_rng(seed).standard_normal(out.shape)
+                out.backward(Tensor(g.astype(x.dtype), dtype=x.dtype))
+                outs.append(out.data.tobytes())
+                grads.append(xt.grad.tobytes())
+            assert outs[0] == outs[1]
+            assert grads[0] == grads[1]
+
+        check()
+
+    def test_ties_route_the_gradient_to_the_first_occurrence(self):
+        # Overlapping 3x3/s1 windows over a constant plane: every window's
+        # first element (row-major) wins, so the top-left cells collect it.
+        x = Tensor(np.full((1, 1, 4, 4), 2.0, dtype=np.float32), requires_grad=True)
+        F.max_pool2d(x, 3, 1).sum().backward()
+        np.testing.assert_array_equal(
+            x.grad[0, 0], [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+
+    def test_signed_zero_tie_keeps_the_first_occurrence(self):
+        x = np.array([[[[-0.0, 0.0, 0.0, -0.0]]]], dtype=np.float32)
+        with no_grad():
+            out = F.max_pool2d(Tensor(x), (1, 2)).data
+        assert np.signbit(out).tolist() == [[[[True, False]]]]
+
+    def test_path_selection(self, rng):
+        x = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
+        paths, spy = _spy_paths()
+        with spy, no_grad():
+            F.max_pool2d(Tensor(x), 3, 1, 1)
+            assert paths == [False, False]  # clean input: fast path only
+            paths.clear()
+            x[0, 0, 0, 0] = -0.0
+            F.max_pool2d(Tensor(x), 3, 1, 1)
+            assert paths == [True, True]  # -0.0: straight to the exact rule
+            paths.clear()
+            x[0, 0, 0, 0] = np.nan
+            F.max_pool2d(Tensor(x), 3, 1, 1)
+            assert paths == [False, False, True, True]  # NaN out: redone exactly
+
+    def test_argmax_only_when_recording(self, rng):
+        x = Tensor(rng.standard_normal((2, 3, 6, 6)).astype(np.float32),
+                   requires_grad=True)
+        with mock.patch.object(F, "_windows", wraps=F._windows) as windows:
+            with no_grad():
+                F.max_pool2d(x, 2)
+            F.max_pool2d(Tensor(x.data), 2)
+            assert windows.call_count == 0
+            out = F.max_pool2d(x, 2)
+            assert windows.call_count == 1
+        assert out.requires_grad
+
+    def test_backward_routes_by_forward_time_data(self, rng):
+        data = rng.standard_normal((1, 2, 6, 6)).astype(np.float32)
+        x = Tensor(data.copy(), requires_grad=True)
+        out = F.max_pool2d(x, 3, 1, 1)
+        x.data[...] = -x.data  # an in-place rewrite after the forward
+        out.sum().backward()
+        ref = Tensor(data, requires_grad=True)
+        argmax_max_pool2d(ref, 3, 1, 1).sum().backward()
+        assert x.grad.tobytes() == ref.grad.tobytes()
+
+    def test_output_is_a_fresh_c_contiguous_array(self, rng):
+        base = rng.standard_normal((2, 6, 6, 3)).astype(np.float32)
+        x = Tensor(base.transpose(0, 3, 1, 2))  # non-contiguous NCHW view
+        with no_grad():
+            for args in ((1, 1), (2, 2), (3, 1, 1)):
+                out = F.max_pool2d(x, *args).data
+                assert out.flags.c_contiguous
+                assert not np.shares_memory(out, base)
+                want = argmax_max_pool2d(x, *args).data
+                assert out.tobytes() == want.tobytes()
+
+
+def _forward_digests(name):
+    """sha256 of a seeded batch-4 eval forward: clean, then one neuron fault."""
+    net = models.get_model(name, "cifar10", scale="smoke", rng=0)
+    net.eval()
+    x = Tensor(np.random.default_rng(1).standard_normal((4, 3, 32, 32)).astype(np.float32))
+    fi = FaultInjection(net, batch_size=4, input_shape=(3, 32, 32))
+    with no_grad():
+        clean = net(x).data
+        faulty = fi.declare_neuron_fault_injection(
+            layer_num=0, dim1=0, dim2=1, dim3=1, value=1e4)(x).data
+    return tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (clean, faulty))
+
+
+class TestMaxPoolModelDigests:
+    """Pinned forwards of every registry model with a ``MaxPool2d``.
+
+    Recorded with the per-window argmax kernel (numpy 2.4, OpenBLAS on
+    x86-64).  The lane-packed and resume equivalence suites compare two
+    runs of the same kernel, so only a pinned digest catches drift in the
+    kernel itself; the oracle swap re-derives the digests independently of
+    the platform's BLAS.
+    """
+
+    PINNED = {
+        "alexnet": ("d065a438ec7a8674aefe47bd4724e43c1284f9dd7cb23e9f56e38c2a7e0f88a5",
+                    "c33b47c39fd5e3e28ba8cb2db0fe960c91a4e2409b3796f15cd0332abaefa7c3"),
+        "googlenet": ("9ad31dfba4fa60dc7f5948272a2409a577ebb795ff556d2ec85427792b8c349d",
+                      "51ff08af889ad5d7df2149e90d6b9603e9c042a8cab7ea992cdacd005d00ab77"),
+        "squeezenet": ("6c5f3daa90a54e833baa803247ee3dde809a31a27c873265008e843ccbbe5c6f",
+                       "5a351ac44723f1f266ee1bdc6287340e9f5ad76c63c7d5fdc957e047235d520e"),
+        "vgg19": ("2dcff731caaa0ebe449c00a793330c4a7990d2079c5786fc74777ac3e7c17b52",
+                  "1d09e78f3a9087522e4a6a6f76e128f30b5c4ce5754192e1fb3c52d3b46feb82"),
+    }
+
+    def test_pins_cover_every_max_pool_model(self):
+        with_pool = {
+            name for name in models.list_models()
+            if any(isinstance(m, nn.MaxPool2d)
+                   for m in models.get_model(name, "cifar10", scale="smoke",
+                                             rng=0).modules())}
+        assert with_pool == set(self.PINNED)
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_forward_digests(self, name):
+        digests = _forward_digests(name)
+        with mock.patch.object(F, "max_pool2d", argmax_max_pool2d):
+            assert digests == _forward_digests(name)
+        assert digests == self.PINNED[name]
 
 
 class TestUpsample:

@@ -15,6 +15,7 @@ perf tallies to an undisturbed serial run — only the recovery counters
 import json
 import multiprocessing
 import os
+import shlex
 import signal
 import subprocess
 import sys
@@ -591,3 +592,46 @@ class TestInterruptAndResume:
         record = json.loads(capsys.readouterr().out)
         assert rc == 2
         assert "requires --campaign" in record["error"]
+
+
+class TestResumeHint:
+    N = 4000
+    CAMPAIGN = ["inject", "alexnet", "--scale", "smoke", "--campaign", str(N),
+                "--batch-size", "8", "--layer", "1"]
+
+    def test_printed_hint_resumes_to_the_undisturbed_result(self, tmp_path):
+        # The hint must repeat every non-default plan flag; dropping
+        # --scale/--batch-size/--layer would change the plan fingerprint
+        # and the resumed run would refuse the journal.
+        undisturbed = _cli(self.CAMPAIGN + ["--json", "--out-dir", str(tmp_path)])
+        out, err = undisturbed.communicate(timeout=600)
+        assert undisturbed.returncode == 0, err
+        baseline = json.loads(out)
+
+        journal = tmp_path / "j.jsonl"
+        proc = _cli(self.CAMPAIGN + ["--journal", str(journal),
+                                     "--out-dir", str(tmp_path)],
+                    start_new_session=True)
+        try:
+            _wait_for_journal(journal, min_chunks=5)
+            proc.send_signal(signal.SIGTERM)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 130, err
+        assert not load_journal(journal)[2], "campaign finished before the signal"
+        hints = [line for line in err.splitlines()
+                 if line.startswith("resume with: ")]
+        assert len(hints) == 1, err
+        words = shlex.split(hints[0][len("resume with: "):])
+        assert words[:2] == ["repro", "inject"]
+        assert words[words.index("--journal") + 1] == str(journal)
+
+        resume = _cli(words[1:] + ["--json", "--out-dir", str(tmp_path)])
+        out2, err2 = resume.communicate(timeout=600)
+        assert resume.returncode == 0, err2
+        _, chunks, complete = load_journal(journal)
+        assert complete and len(chunks) == self.N // 8
+        assert _science(json.loads(out2)) == _science(baseline)
