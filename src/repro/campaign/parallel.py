@@ -47,7 +47,7 @@ The executor is step 4 of ``InjectionCampaign.run``'s pipeline and
 nothing else: planning, the journal, folding chunk records, and building
 the result happen in the runner for both execution strategies.  Every
 merge is order-independent: per-layer tallies are integer sums,
-per-chunk perf deltas add (:meth:`CampaignPerfCounters.merge` and
+per-chunk perf deltas add (``apply_chunk_perf`` and
 :meth:`MetricsRegistry.merge_snapshot` stay associative and commutative),
 observe events are keyed by plan position (``index``) and stable-sorted
 into serial emission order — which also dedupes the rare double execution

@@ -188,7 +188,7 @@ def apply_chunk_perf(campaign, perf):
     """Fold a completed chunk's perf record into the campaign's ledgers.
 
     Direct tallies add onto ``campaign.perf``; engine/cache deltas add onto
-    the ``_parallel_deltas`` ledger that ``_finalize_perf`` sums with this
+    the ``_parallel_deltas`` ledger that the run state's fold sums with this
     process's engine absolutes — the same path parallel workers use, so a
     journaled chunk and a freshly executed one account identically.
     """

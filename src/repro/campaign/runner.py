@@ -33,8 +33,8 @@ import numpy as np
 from ..core import FaultInjection, SingleBitFlip
 from ..core.fault_injection import NeuronSite, WeightSite
 from ..core.injectors import _quant_for_layer, random_neuron_locations, random_weight_locations
-from ..perf import CampaignPerfCounters
-from ..profile.heartbeat import _finish_progress, coerce_progress
+from ..perf import CampaignPerfCounters, campaign_gauges
+from ..profile.heartbeat import _finish_progress, _report_progress, coerce_progress
 from ..profile.profiler import coerce_profiler
 from ..tensor import Tensor, no_grad
 from ..tensor import rng as _rng
@@ -564,24 +564,15 @@ class InjectionCampaign:
                 ]
             on_chunk(cid, record)
 
-    def _finalize_perf(self, n_injections, elapsed_s):
-        """Fold one run's execution into the lifetime ``perf`` counters.
+    def _finalize_perf(self, n_injections, replayed, elapsed_s):
+        """Fold one run's totals into the lifetime ``perf`` counters.
 
-        Cache statistics are absolute reads of this process's engine plus
-        the accumulated deltas parallel workers reported (their forked
-        engines never advance ours).
+        Every other tally is already live: the run state refreshes them on
+        each fold.
         """
         self.perf.injections += n_injections
+        self.perf.injections_replayed += replayed
         self.perf.elapsed_seconds += elapsed_s
-        if self._resume is not None:
-            cache = self._resume.cache
-            deltas = self._parallel_deltas
-            self.perf.capture_forwards = (
-                self._resume.capture_forwards + deltas.capture_forwards)
-            self.perf.cache_hits = cache.hits + deltas.cache_hits
-            self.perf.cache_misses = cache.misses + deltas.cache_misses
-            self.perf.cache_evictions = cache.evictions + deltas.cache_evictions
-            self.perf.cache_bytes = cache.bytes_used + deltas.cache_bytes
         if self.profiler.enabled:
             self.perf.publish(self.profiler.metrics)
 
@@ -805,7 +796,8 @@ class InjectionCampaign:
             elapsed = time.perf_counter() - started
             if executor is not None:
                 executor.merge(elapsed)
-            self._finalize_perf(state.completed_injections, elapsed)
+            self._finalize_perf(state.completed_injections,
+                                state.replayed_injections, elapsed)
             if trace is not None:
                 for p in sorted(state.trace_events):
                     trace.record(**state.trace_events[p])
@@ -848,6 +840,11 @@ class _RunState:
     tallies, trace events, and progress have one fold whatever executed
     the chunk.  Perf deltas are applied only for records this process's
     counters did not already count: journaled chunks and workers' chunks.
+
+    The fold is also the only producer of campaign gauges: each one leaves
+    ``campaign.perf`` current and publishes the snapshot
+    :func:`~repro.perf.campaign_gauges` derives from it, as the data of a
+    ``campaign/progress`` envelope and to the progress reporter.
     """
 
     def __init__(self, campaign, n_injections, plan, chunks, journal, progress,
@@ -863,6 +860,8 @@ class _RunState:
         self.per_layer_cor = np.zeros(campaign.fi.num_layers, dtype=np.int64)
         self.corrupted_total = 0
         self.completed_injections = 0
+        self.replayed_injections = 0  # folded from the journal, not executed
+        self.executing_since = None  # perf_counter when execution began
         self.trace_events = {}
         self.done = set()
         self.quarantined = {}
@@ -872,16 +871,15 @@ class _RunState:
         return [cid for cid in range(len(self.chunks)) if cid not in self.done]
 
     def fold_journaled(self, completed):
-        """Replay journaled chunk records without executing them."""
+        """Replay journaled chunk records without executing them.
+
+        Execution starts once this returns, so the throughput clock does.
+        """
         for cid, record in completed.items():
             self._fold(cid, record, apply_perf=True)
-        if self.completed_injections:
-            if self.progress is not None:
-                self.progress(self.completed_injections, self.n_injections)
-            bus = self.campaign.telemetry
-            if bus is not None:
-                bus.publish("campaign", "progress", {
-                    "done": self.completed_injections, "total": self.n_injections})
+        self.replayed_injections = self.completed_injections
+        self.executing_since = time.perf_counter()
+        self._publish(report=self.completed_injections > 0)
 
     def fold_chunk(self, cid, record, apply_perf=False):
         """Fold one freshly executed chunk; journal it durably first."""
@@ -889,8 +887,7 @@ class _RunState:
             self.journal.write_chunk(
                 cid, {k: record[k] for k in _JOURNAL_KEYS if k in record})
         self._fold(cid, record, apply_perf)
-        if self.progress is not None:
-            self.progress(self.completed_injections, self.n_injections)
+        self._publish()
 
     def _fold(self, cid, record, apply_perf):
         self.done.add(cid)
@@ -902,6 +899,34 @@ class _RunState:
         if apply_perf:
             apply_chunk_perf(self.campaign, record["perf"])
         self.trace_events.update(chunk_record_events(record))
+
+    def _publish(self, report=True):
+        """Bring ``campaign.perf`` up to date; hand its gauges to every reader.
+
+        Cache statistics are absolute reads of this process's engine plus
+        the deltas journaled chunks and forked workers reported (their
+        engines never advance ours).
+        """
+        campaign = self.campaign
+        perf, engine = campaign.perf, campaign._resume
+        if engine is not None:
+            cache, deltas = engine.cache, campaign._parallel_deltas
+            perf.capture_forwards = engine.capture_forwards + deltas.capture_forwards
+            perf.cache_hits = cache.hits + deltas.cache_hits
+            perf.cache_misses = cache.misses + deltas.cache_misses
+            perf.cache_evictions = cache.evictions + deltas.cache_evictions
+            perf.cache_bytes = cache.bytes_used + deltas.cache_bytes
+        bus = campaign.telemetry
+        if not report or (bus is None and self.progress is None):
+            return
+        gauges = campaign_gauges(
+            perf, self.completed_injections, self.n_injections,
+            self.completed_injections - self.replayed_injections,
+            time.perf_counter() - self.executing_since)
+        if bus is not None:
+            bus.publish("campaign", "progress", gauges)
+        if self.progress is not None:
+            _report_progress(self.progress, gauges)
 
     def quarantine(self, cid, detail):
         """Give up on a chunk: record its base layer, positions, and error."""

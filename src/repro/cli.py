@@ -97,7 +97,7 @@ class _SelfLabelledDataset:
         return images, preds
 
 
-def _telemetry_start(args, campaign):
+def _telemetry_start(args):
     """Attach the live-telemetry plane around one CLI campaign run.
 
     Returns ``(bus, server, sampler)``: a bus with a flight recorder (its
@@ -117,7 +117,7 @@ def _telemetry_start(args, campaign):
         server = TelemetryServer(bus, args.stream).start()
         print(f"telemetry: streaming NDJSON on {server.endpoint}",
               file=sys.stderr)
-    sampler = TelemetrySampler(bus, campaign=campaign).start()
+    sampler = TelemetrySampler(bus).start()
     return bus, server, sampler
 
 
@@ -209,7 +209,7 @@ def _profile_runtime(args, model_name):
                 network_name=model_name, profiler=profiler)
             bus = server = sampler = None
             if args.stream:
-                bus, server, sampler = _telemetry_start(args, campaign)
+                bus, server, sampler = _telemetry_start(args)
             try:
                 result = campaign.run(args.campaign, progress=True,
                                       workers=args.workers, telemetry=bus)
@@ -323,7 +323,7 @@ def _inject_campaign(args):
             f"{campaign.fi.num_layers} instrumentable layers "
             f"(0..{campaign.fi.num_layers - 1})",
         )
-    bus, server, sampler = _telemetry_start(args, campaign)
+    bus, server, sampler = _telemetry_start(args)
     started = time.perf_counter()
     try:
         # A --stream'ed --json run still drives the heartbeat: progress
@@ -535,7 +535,7 @@ def _run_scenario_command(args, source, model_override=None):
         compiled = compile_scenario(config)
     except ScenarioError as exc:
         return _scenario_fail(args, str(exc))
-    bus, server, sampler = _telemetry_start(args, compiled.campaign)
+    bus, server, sampler = _telemetry_start(args)
     try:
         result = run_scenario(
             compiled, workers=args.workers, journal=args.journal,

@@ -6,11 +6,28 @@ one :class:`CampaignPerfCounters` instance, accumulates into it across
 ``run()`` calls, and exposes it as ``campaign.perf`` so benchmarks and
 dashboards can track injections/sec, cache behaviour, and how much of the
 network's layer-forward work the resume path actually skipped.
+
+:func:`campaign_gauges` is the one derivation of every live campaign
+gauge (throughput, ETA, cache hit rate, lane occupancy, forwards saved):
+the run state folds each chunk into ``campaign.perf`` and publishes the
+snapshot this function derives from it; the heartbeat and the telemetry
+sampler only render that snapshot.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+#: The keys of one gauge snapshot (see :func:`campaign_gauges`).
+GAUGE_KEYS = ("done", "total", "inj_per_s", "eta_s", "cache_hit_rate",
+              "lane_occupancy", "forwards_saved")
+
+
+def per_second(count, seconds):
+    """``count / seconds``, clamped to a finite, non-negative rate."""
+    rate = count / seconds if seconds > 0 else 0.0
+    return rate if 0.0 <= rate < math.inf else 0.0
 
 
 @dataclass
@@ -39,12 +56,16 @@ class CampaignPerfCounters:
     chunks_quarantined: int = 0
     worker_failures: int = 0
     worker_respawns: int = 0
+    # Injections folded from a journal instead of executed: part of
+    # ``injections``, never of the throughput.  Kept out of ``as_dict`` and
+    # ``publish`` because a resumed run and an undisturbed one differ in it.
+    injections_replayed: int = 0
 
     @property
     def injections_per_sec(self):
-        if self.elapsed_seconds <= 0.0:
-            return 0.0
-        return self.injections / self.elapsed_seconds
+        """Executed injections over elapsed seconds (journal replays excluded)."""
+        return per_second(self.injections - self.injections_replayed,
+                          self.elapsed_seconds)
 
     @property
     def forwards_run(self):
@@ -82,37 +103,6 @@ class CampaignPerfCounters:
         resume_enabled = self.resume_enabled
         self.__init__()
         self.resume_enabled = resume_enabled
-        return self
-
-    def merge(self, other):
-        """Fold another counters instance into this one; returns ``self``.
-
-        Every tally adds and ``resume_enabled`` ORs, so merging K worker
-        counter sets is associative and commutative — any merge order
-        yields the same totals.  ``elapsed_seconds`` sums to aggregate
-        *busy* seconds across the merged sources; a parallel executor that
-        wants wall-clock throughput overwrites it with the fleet's wall
-        time after merging.  ``cache_bytes`` also sums: workers report
-        per-cache deltas, so the total is the fleet's growth.
-        """
-        self.injections += other.injections
-        self.elapsed_seconds += other.elapsed_seconds
-        self.forwards += other.forwards
-        self.forwards_saved += other.forwards_saved
-        self.resumed_forwards += other.resumed_forwards
-        self.capture_forwards += other.capture_forwards
-        self.layer_forwards_executed += other.layer_forwards_executed
-        self.layer_forwards_skipped += other.layer_forwards_skipped
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.cache_evictions += other.cache_evictions
-        self.cache_bytes += other.cache_bytes
-        self.resume_enabled = self.resume_enabled or other.resume_enabled
-        self.chunk_retries += other.chunk_retries
-        self.chunks_requeued += other.chunks_requeued
-        self.chunks_quarantined += other.chunks_quarantined
-        self.worker_failures += other.worker_failures
-        self.worker_respawns += other.worker_respawns
         return self
 
     def publish(self, registry, prefix="campaign"):
@@ -191,3 +181,29 @@ class CampaignPerfCounters:
             f"skipped {self.fraction_layer_forwards_skipped:.0%} of layer "
             f"forwards, cache hit rate {self.cache_hit_rate:.0%})"
         )
+
+
+def campaign_gauges(perf, done, total, executed, seconds):
+    """Derive one gauge snapshot: a JSON-ready dict keyed by :data:`GAUGE_KEYS`.
+
+    ``done``/``total`` count the run's injections, journaled ones included.
+    Throughput counts only the ``executed`` injections the run ran itself,
+    over the ``seconds`` since its execution step began, so replaying a
+    journal does not inflate it.  ETA is the remaining injections at that
+    (finite, positive) rate — None when the rate is zero or nothing
+    remains, never negative or infinite.  Cache hit rate
+    is None before the first cache lookup and lane occupancy before the
+    first forward.
+    """
+    rate = per_second(executed, seconds)
+    eta = (total - done) / rate if rate > 0 and done < total else None
+    lookups = perf.cache_hits + perf.cache_misses
+    return {
+        "done": int(done),
+        "total": int(total),
+        "inj_per_s": rate,
+        "eta_s": eta,
+        "cache_hit_rate": perf.cache_hit_rate if lookups else None,
+        "lane_occupancy": perf.mean_lane_occupancy if perf.forwards else None,
+        "forwards_saved": int(perf.forwards_saved),
+    }

@@ -28,6 +28,7 @@ from .recorder import load_flight_dump
 from .server import parse_address
 
 _MAX_FRAME = 1 << 20  # a "line" larger than this is garbage, not telemetry
+_SNAPSHOTS = {("campaign", "progress"), ("heartbeat", "tick"), ("sampler", "gauges")}
 
 
 class NdjsonDecoder:
@@ -92,24 +93,20 @@ class TopAggregator:
             self.run = obj.get("run")
         source, kind, data = obj.get("source"), obj.get("kind"), obj.get("data") or {}
         self.last_kind = f"{source}/{kind}"
-        if source == "sampler" and kind == "gauges":
+        if (source, kind) in _SNAPSHOTS:
+            # All three carry the one gauge snapshot the run state derives;
+            # the sampler's adds RSS and worker liveness.
             self.done = max(self.done, int(data.get("done") or 0))
             if data.get("total") is not None:
                 self.total = int(data["total"])
             self.inj_per_s = float(data.get("inj_per_s") or 0.0)
             self.eta_s = data.get("eta_s")
             self.cache_hit_rate = data.get("cache_hit_rate")
-            self.rss_kb = data.get("rss_kb")
-            for row in data.get("workers") or []:
-                if row.get("wid") is not None:
-                    self.workers[row["wid"]] = dict(row)
-        elif kind == "progress" or (source == "heartbeat" and kind == "tick"):
-            if data.get("done") is not None:
-                self.done = max(self.done, int(data["done"]))
-            if data.get("total") is not None:
-                self.total = int(data["total"])
-            if data.get("rate") is not None:
-                self.inj_per_s = float(data["rate"])
+            if source == "sampler":
+                self.rss_kb = data.get("rss_kb")
+                for row in data.get("workers") or []:
+                    if row.get("wid") is not None:
+                        self.workers[row["wid"]] = dict(row)
         elif source == "campaign":
             if kind == "run_start" and data.get("n_injections") is not None:
                 self.total = int(data["n_injections"])

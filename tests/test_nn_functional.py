@@ -1,6 +1,8 @@
 """Tests of the numpy kernels against naive references."""
 
+import ctypes
 import hashlib
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -363,25 +365,97 @@ def _forward_digests(name):
     return tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (clean, faulty))
 
 
+def openblas_core():
+    """The OpenBLAS kernel family numpy's BLAS runs on this host (None if unknown).
+
+    Forward digests depend on it: each core type packs and sums the GEMM
+    panels differently, so the last bits of a conv forward differ between,
+    say, the SkylakeX and Haswell kernels.  ``OPENBLAS_CORETYPE`` forces
+    one.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas64_*")):
+        corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        corename.argtypes = []
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
+MAX_POOL_MODELS = ("alexnet", "googlenet", "squeezenet", "vgg19")
+
+
+def _pinnable_digests(name):
+    """A model's forward digests, re-derived against the argmax oracle."""
+    digests = _forward_digests(name)
+    with mock.patch.object(F, "max_pool2d", argmax_max_pool2d):
+        assert digests == _forward_digests(name), name
+    return digests
+
+
 class TestMaxPoolModelDigests:
     """Pinned forwards of every registry model with a ``MaxPool2d``.
 
-    Recorded with the per-window argmax kernel (numpy 2.4, OpenBLAS on
-    x86-64).  The lane-packed and resume equivalence suites compare two
-    runs of the same kernel, so only a pinned digest catches drift in the
-    kernel itself; the oracle swap re-derives the digests independently of
-    the platform's BLAS.
+    Recorded with the per-window argmax kernel (numpy 2.4), one set per
+    OpenBLAS core type (see :func:`openblas_core`).  The lane-packed and
+    resume equivalence suites compare two runs of the same kernel, so only
+    a pinned digest catches drift in the kernel itself; the oracle swap
+    re-derives the digests independently of the platform's BLAS.  Record a
+    missing core's pins with
+    ``OPENBLAS_CORETYPE=<core> PYTHONPATH=src python -m tests.test_nn_functional``.
     """
 
     PINNED = {
-        "alexnet": ("d065a438ec7a8674aefe47bd4724e43c1284f9dd7cb23e9f56e38c2a7e0f88a5",
-                    "c33b47c39fd5e3e28ba8cb2db0fe960c91a4e2409b3796f15cd0332abaefa7c3"),
-        "googlenet": ("9ad31dfba4fa60dc7f5948272a2409a577ebb795ff556d2ec85427792b8c349d",
-                      "51ff08af889ad5d7df2149e90d6b9603e9c042a8cab7ea992cdacd005d00ab77"),
-        "squeezenet": ("6c5f3daa90a54e833baa803247ee3dde809a31a27c873265008e843ccbbe5c6f",
-                       "5a351ac44723f1f266ee1bdc6287340e9f5ad76c63c7d5fdc957e047235d520e"),
-        "vgg19": ("2dcff731caaa0ebe449c00a793330c4a7990d2079c5786fc74777ac3e7c17b52",
-                  "1d09e78f3a9087522e4a6a6f76e128f30b5c4ce5754192e1fb3c52d3b46feb82"),
+        "SkylakeX": {
+            "alexnet": ("d065a438ec7a8674aefe47bd4724e43c1284f9dd7cb23e9f56e38c2a7e0f88a5",
+                        "c33b47c39fd5e3e28ba8cb2db0fe960c91a4e2409b3796f15cd0332abaefa7c3"),
+            "googlenet": ("9ad31dfba4fa60dc7f5948272a2409a577ebb795ff556d2ec85427792b8c349d",
+                          "51ff08af889ad5d7df2149e90d6b9603e9c042a8cab7ea992cdacd005d00ab77"),
+            "squeezenet": ("6c5f3daa90a54e833baa803247ee3dde809a31a27c873265008e843ccbbe5c6f",
+                           "5a351ac44723f1f266ee1bdc6287340e9f5ad76c63c7d5fdc957e047235d520e"),
+            "vgg19": ("2dcff731caaa0ebe449c00a793330c4a7990d2079c5786fc74777ac3e7c17b52",
+                      "1d09e78f3a9087522e4a6a6f76e128f30b5c4ce5754192e1fb3c52d3b46feb82"),
+        },
+        "Haswell": {
+            "alexnet": ("5c08cdb1bb24ff857b2827bf0d6ff3448a2450106195ed757aeb49ee31fae954",
+                        "342678208fd84cd09b0bbcce3a6b8f50bc180ca749398586c3f5e1c5e1abe609"),
+            "googlenet": ("9d2f44949c1d909e6006d5b1ae8cab48cdcf7abe63b87531cad527a3b7080987",
+                          "b3de557b4eb96c7b5e1e22397eee333af2efea0889545c9b96e93a9125669b7b"),
+            "squeezenet": ("d858d777d99723e144beed9adf971f8c387447235cb729e46b9c501c857e7f29",
+                           "caf20a4f0be79921fbd7f0bdacf9ba0564507d3bd81cf4c07fd75cccafe20181"),
+            "vgg19": ("2dcff731caaa0ebe449c00a793330c4a7990d2079c5786fc74777ac3e7c17b52",
+                      "1d09e78f3a9087522e4a6a6f76e128f30b5c4ce5754192e1fb3c52d3b46feb82"),
+        },
+        "Sandybridge": {
+            "alexnet": ("d0358d5fe8f7c9afb2f572d08f22e46868ad12fd4694591008231252216d75fd",
+                        "570f400c53cbbd160e9232f8382e2fd4fe3858baeb0d7bf4590f2c95efcd3c4c"),
+            "googlenet": ("2407ffc54ff91045112d50cce852d749d61f35567311783cfec988ba37aa61a9",
+                          "12b4479fa8c172ca4bac4ada400eb7b388f96d387aba68fe8589a1af33571b80"),
+            "squeezenet": ("4be7f2a2e032070e0310e8488a58588a2b6f202725eef7bbbf6184b1ebe39aeb",
+                           "d92521d83e683c43ee462bd6289ea4c463307298273d8555bd87e58e73bde6b4"),
+            "vgg19": ("2dcff731caaa0ebe449c00a793330c4a7990d2079c5786fc74777ac3e7c17b52",
+                      "5b744428b128098fce85f562583fbcc1b26ecf2ddac9ee4ed36d00f90ae47694"),
+        },
+        "Nehalem": {
+            "alexnet": ("1d75dc2890050cbd09442aaa776bb7ef3a869ec3fe21b5142d6552e2c260b566",
+                        "e86c714c4e4969d3095899cb74ad4c4734cc66dea6396d6680508e2125eadfc4"),
+            "googlenet": ("2407ffc54ff91045112d50cce852d749d61f35567311783cfec988ba37aa61a9",
+                          "12b4479fa8c172ca4bac4ada400eb7b388f96d387aba68fe8589a1af33571b80"),
+            "squeezenet": ("4be7f2a2e032070e0310e8488a58588a2b6f202725eef7bbbf6184b1ebe39aeb",
+                           "d92521d83e683c43ee462bd6289ea4c463307298273d8555bd87e58e73bde6b4"),
+            "vgg19": ("2dcff731caaa0ebe449c00a793330c4a7990d2079c5786fc74777ac3e7c17b52",
+                      "5b744428b128098fce85f562583fbcc1b26ecf2ddac9ee4ed36d00f90ae47694"),
+        },
+        "Katmai": {
+            "alexnet": ("6a7aa5201f1fb7709c21ecf05cd015b81e3f65b5536f274e1444a5d75b430980",
+                        "fce243154a596263582a42698a6bfa30cdb6c664bb7dbbfde6ac74ca821920f0"),
+            "googlenet": ("ea8d949b62d7c4d7feb14d75008ba3f2f9da6ce56fad9fc28fc3a7ddfa201120",
+                          "12a88f0af13506fcc2ec64466cf91599e0e95748474e179a4de65dbe4ad94a0e"),
+            "squeezenet": ("4be7f2a2e032070e0310e8488a58588a2b6f202725eef7bbbf6184b1ebe39aeb",
+                           "d92521d83e683c43ee462bd6289ea4c463307298273d8555bd87e58e73bde6b4"),
+            "vgg19": ("2dcff731caaa0ebe449c00a793330c4a7990d2079c5786fc74777ac3e7c17b52",
+                      "1d09e78f3a9087522e4a6a6f76e128f30b5c4ce5754192e1fb3c52d3b46feb82"),
+        },
     }
 
     def test_pins_cover_every_max_pool_model(self):
@@ -390,14 +464,19 @@ class TestMaxPoolModelDigests:
             if any(isinstance(m, nn.MaxPool2d)
                    for m in models.get_model(name, "cifar10", scale="smoke",
                                              rng=0).modules())}
-        assert with_pool == set(self.PINNED)
+        assert with_pool == set(MAX_POOL_MODELS)
+        for core, pins in self.PINNED.items():
+            assert set(pins) == with_pool, core
 
-    @pytest.mark.parametrize("name", sorted(PINNED))
+    @pytest.mark.parametrize("name", MAX_POOL_MODELS)
     def test_forward_digests(self, name):
-        digests = _forward_digests(name)
-        with mock.patch.object(F, "max_pool2d", argmax_max_pool2d):
-            assert digests == _forward_digests(name)
-        assert digests == self.PINNED[name]
+        digests = _pinnable_digests(name)
+        core = openblas_core()
+        assert core in self.PINNED, (
+            f"no forward-digest pins for OpenBLAS core {core!r}; record them "
+            f"with: OPENBLAS_CORETYPE={core} PYTHONPATH=src "
+            f"python -m tests.test_nn_functional")
+        assert digests == self.PINNED[core][name]
 
 
 class TestUpsample:
@@ -667,3 +746,13 @@ class TestVectorizedBackwardBitwise:
                     grad_cols[:, :, :, :, i, j])
         expected = gx[:, :, ph : ph + h, pw : pw + w] if (ph or pw) else gx
         np.testing.assert_array_equal(x.grad.data, expected)
+
+
+if __name__ == "__main__":
+    # Print this host's forward-digest pins, as a PINNED entry.
+    print(f'        "{openblas_core()}": {{')
+    for model_name in MAX_POOL_MODELS:
+        clean, faulty = _pinnable_digests(model_name)
+        print(f'            "{model_name}": ("{clean}",\n'
+              f'            {" " * (len(model_name) + 5)}"{faulty}"),')
+    print("        },")

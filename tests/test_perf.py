@@ -5,12 +5,15 @@ import pytest
 
 from repro import tensor as T
 from repro.perf import (
+    GAUGE_KEYS,
     CampaignPerfCounters,
     OverheadMeasurement,
+    campaign_gauges,
     measure_overhead,
     sweep_batch_sizes,
     time_inference,
 )
+from repro.perf.counters import per_second
 from repro.profile import MetricsRegistry
 
 
@@ -134,42 +137,53 @@ class TestCampaignPerfCounters:
         assert registry["campaign.injections"].value == 150
 
 
-class TestPerfCounterMerge:
-    def _worker(self, k):
-        """Distinct per-worker tallies (dyadic seconds keep float sums exact)."""
-        return CampaignPerfCounters(
-            injections=10 * k, elapsed_seconds=0.25 * k, forwards=2 * k,
-            resumed_forwards=k, capture_forwards=k % 2,
-            layer_forwards_executed=3 * k, layer_forwards_skipped=5 * k,
-            cache_hits=7 * k, cache_misses=k, cache_evictions=k // 2,
-            cache_bytes=128 * k, resume_enabled=(k == 2),
-        )
+class TestCampaignGauges:
+    """The one derivation of every live campaign gauge."""
 
-    def test_merge_adds_tallies_and_ors_config(self):
-        merged = self._worker(1).merge(self._worker(2))
-        assert merged.injections == 30
-        assert merged.elapsed_seconds == pytest.approx(0.75)
-        assert merged.cache_hits == 21
-        assert merged.cache_bytes == 384
-        assert merged.resume_enabled is True  # OR: one worker had resume on
+    def test_snapshot_is_json_ready_and_keyed_by_gauge_keys(self):
+        import json
 
-    def test_merge_returns_self(self):
-        base = CampaignPerfCounters()
-        assert base.merge(self._worker(1)) is base
+        gauges = campaign_gauges(CampaignPerfCounters(), 0, 10, 0, 0.0)
+        assert tuple(gauges) == GAUGE_KEYS
+        json.dumps(gauges)
 
-    def test_merge_is_associative_and_commutative(self):
-        """Any merge order over K worker counter sets gives the same totals."""
-        import itertools
+    def test_rate_counts_only_executed_injections(self):
+        # 60 of 80 done injections were replayed from a journal; the run
+        # executed 20 of them in 2 s.
+        gauges = campaign_gauges(CampaignPerfCounters(), 80, 100, 20, 2.0)
+        assert gauges["inj_per_s"] == 10.0
+        assert gauges["eta_s"] == 2.0
 
-        outcomes = set()
-        for order in itertools.permutations((1, 2, 3)):
-            merged = CampaignPerfCounters()
-            for k in order:
-                merged.merge(self._worker(k))
-            outcomes.add(tuple(sorted(merged.as_dict().items())))
-        assert len(outcomes) == 1
+    def test_final_rate_excludes_replayed_injections(self):
+        perf = CampaignPerfCounters(injections=100, injections_replayed=60,
+                                    elapsed_seconds=4.0)
+        assert perf.injections_per_sec == 10.0
+        assert "injections_replayed" not in perf.as_dict()
 
-    def test_merge_then_derived_rates_are_consistent(self):
-        merged = CampaignPerfCounters().merge(self._worker(1)).merge(self._worker(3))
-        assert merged.cache_hit_rate == pytest.approx(28 / 32)
-        assert merged.injections_per_sec == pytest.approx(40 / 1.0)
+    def test_eta_is_none_when_stalled_or_finished(self):
+        perf = CampaignPerfCounters()
+        assert campaign_gauges(perf, 40, 100, 0, 5.0)["eta_s"] is None
+        assert campaign_gauges(perf, 100, 100, 100, 5.0)["eta_s"] is None
+        assert campaign_gauges(perf, 120, 100, 120, 5.0)["eta_s"] is None
+
+    def test_rate_is_clamped_finite_and_non_negative(self):
+        assert per_second(5, 0.0) == 0.0
+        assert per_second(5, -1.0) == 0.0
+        assert per_second(5, float("nan")) == 0.0
+        assert per_second(1, 1e-320) == 0.0  # overflows to inf
+        assert per_second(-1, 1.0) == 0.0
+        assert per_second(3, 2.0) == 1.5
+
+    def test_cache_and_lane_gauges_read_the_counters(self):
+        perf = CampaignPerfCounters(cache_hits=3, cache_misses=1, forwards=2,
+                                    forwards_saved=10)
+        gauges = campaign_gauges(perf, 12, 12, 12, 1.0)
+        assert gauges["cache_hit_rate"] == perf.cache_hit_rate == 0.75
+        assert gauges["lane_occupancy"] == perf.mean_lane_occupancy == 6.0
+        assert gauges["forwards_saved"] == 10
+
+    def test_absent_gauges_are_none_not_zero(self):
+        gauges = campaign_gauges(CampaignPerfCounters(), 0, 4, 0, 0.0)
+        assert gauges["cache_hit_rate"] is None  # no lookups yet
+        assert gauges["lane_occupancy"] is None  # no forwards yet
+        assert gauges["forwards_saved"] == 0

@@ -9,6 +9,7 @@ import pytest
 from repro import nn
 from repro import tensor as T
 from repro.campaign import InjectionCampaign
+from repro.perf import CampaignPerfCounters, campaign_gauges
 from repro.profile import (
     CampaignHeartbeat,
     Counter,
@@ -453,8 +454,9 @@ class TestHeartbeat:
         clock = FakeClock(step=1.0)
         stream = io.StringIO()
         heartbeat = CampaignHeartbeat(interval_s=0.0, stream=stream, clock=clock)
-        heartbeat(0, 10)
-        heartbeat(5, 10)
+        perf = CampaignPerfCounters()
+        heartbeat.render(campaign_gauges(perf, 0, 10, 0, 0.0))
+        heartbeat.render(campaign_gauges(perf, 5, 10, 5, 1.0))
         assert "inj/s" in stream.getvalue()
         assert "eta" in stream.getvalue()
 

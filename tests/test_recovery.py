@@ -39,6 +39,7 @@ from repro.campaign import (
 from repro.campaign.recovery import JournalError, coerce_policy
 from repro.core import SingleBitFlip
 from repro.observe import JsonlEventSink, load_events
+from repro.telemetry import TelemetryBus
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
@@ -224,6 +225,36 @@ class TestSerialJournal:
         result = rerun.run(24, journal=path)
         assert result.corruptions == base_result.corruptions
         assert _science_tallies(rerun) == _science_tallies(base)
+
+    def test_resumed_throughput_counts_only_executed_injections(
+            self, trained_tiny_model, tmp_path):
+        """Journal replays add to ``injections`` but never to inj/s."""
+        model, dataset, _ = trained_tiny_model
+        n = 40
+        path = tmp_path / "j.jsonl"
+        _campaign(model, dataset).run(n, journal=path)
+
+        # Against the complete journal nothing executes: no throughput.
+        bus = TelemetryBus()
+        sub = bus.subscribe(maxlen=10_000)
+        rerun = _campaign(model, dataset)
+        rerun.run(n, journal=path, telemetry=bus)
+        assert rerun.perf.injections == n
+        assert rerun.perf.injections_per_sec == 0.0
+        (progress,) = [e["data"] for e in sub.drain()
+                       if (e["source"], e["kind"]) == ("campaign", "progress")]
+        assert progress["done"] == n and progress["inj_per_s"] == 0.0
+
+        # Three journaled chunks survive a crash; the rest execute.
+        lines = path.read_text().splitlines()
+        replayed = sum(json.loads(line)["injections"] for line in lines[1:4])
+        path.write_text("\n".join(lines[:4]) + "\n")
+        resumed = _campaign(model, dataset)
+        resumed.run(n, journal=path)
+        perf = resumed.perf
+        assert perf.injections == n
+        assert perf.injections_per_sec == pytest.approx(
+            (n - replayed) / perf.elapsed_seconds)
 
     def test_mismatched_fingerprint_is_rejected(self, trained_tiny_model,
                                                 tmp_path):

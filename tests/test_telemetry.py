@@ -14,6 +14,7 @@ identical outcomes, per-layer tallies, RNG stream, and cache statistics
 to an unstreamed one, serial and parallel alike.
 """
 
+import functools
 import json
 import math
 import multiprocessing
@@ -27,9 +28,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro import models
 from repro.campaign import InjectionCampaign
 from repro.cli import main
 from repro.core import SingleBitFlip
+from repro.data import SelfLabelledDataset, SyntheticClassification
+from repro.perf import CampaignPerfCounters, campaign_gauges
 from repro.profile import MetricsRegistry
 from repro.profile.heartbeat import CampaignHeartbeat
 from repro.telemetry import (
@@ -320,26 +324,29 @@ class TestHeartbeat:
 
         class _Campaign:
             telemetry = _Bus()
-            _resume = None
 
-        clock, out = _FakeClock(), _Lines()
+        out = _Lines()
         hb = CampaignHeartbeat(campaign=_Campaign(), interval_s=0.0,
-                               stream=out, clock=clock)
-        hb(0, 100)
-        clock.now += 2.0
-        hb(50, 100)        # healthy: rate 25/s, eta 2s
-        clock.now += 1.0
-        hb(120, 100)       # overshoot: done > total must not go negative
-        for tick in _Campaign.telemetry.ticks:
+                               stream=out, clock=_FakeClock())
+        perf = CampaignPerfCounters()
+        hb.render(campaign_gauges(perf, 0, 100, 0, 0.0))
+        hb.render(campaign_gauges(perf, 50, 100, 50, 2.0))  # 25/s, eta 2s
+        # Overshoot: done > total must not go negative.
+        hb.render(campaign_gauges(perf, 120, 100, 120, 3.0))
+        ticks = _Campaign.telemetry.ticks
+        assert ticks[1]["rate"] == 25.0 and ticks[1]["eta_s"] == 2.0
+        for tick in ticks:
             rate, eta = tick["rate"], tick["eta_s"]
             assert math.isfinite(rate) and rate >= 0
             assert eta is None or (math.isfinite(eta) and eta >= 0)
         assert not any("nan" in line or "eta -" in line for line in out.lines)
 
     def test_zero_elapsed_rate_is_zero_not_nan(self):
-        clock, out = _FakeClock(), _Lines()
-        hb = CampaignHeartbeat(interval_s=0.0, stream=out, clock=clock)
-        hb(5, 100)  # first tick: elapsed == 0
+        out = _Lines()
+        hb = CampaignHeartbeat(interval_s=0.0, stream=out, clock=_FakeClock())
+        gauges = campaign_gauges(CampaignPerfCounters(), 5, 100, 5, 0.0)
+        assert gauges["inj_per_s"] == 0.0 and gauges["eta_s"] is None
+        hb.render(gauges)  # first tick: elapsed == 0
         assert "nan" not in "".join(out.lines)
 
     def test_lines_route_through_the_bus(self):
@@ -348,7 +355,6 @@ class TestHeartbeat:
 
         class _Campaign:
             telemetry = bus
-            _resume = None
 
         clock, out = _FakeClock(), _Lines()
         hb = CampaignHeartbeat(campaign=_Campaign(), interval_s=0.0,
@@ -562,46 +568,32 @@ class TestSampler:
         assert final["workers"][0]["alive"] is True
         assert final["eta_s"] is None or final["eta_s"] >= 0
 
-    def test_chunk_tallies_advance_progress_without_heartbeat(self):
-        bus = TelemetryBus()
-        sub = bus.subscribe()
-        sampler = TelemetrySampler(bus, interval_s=60.0)
-        sampler.start()
-        for _ in range(3):
-            bus.publish("campaign", "chunk", {"injections": 4})
-        sampler.stop()
-        final = [e for e in sub.drain() if e["source"] == "sampler"][-1]
-        assert final["data"]["done"] == 12
-
     def test_lane_occupancy_gauges(self):
         bus = TelemetryBus()
         sub = bus.subscribe()
         sampler = TelemetrySampler(bus, interval_s=60.0)
         sampler.start()
-        # Two lane-packed chunk envelopes: 8 + 4 injections over 2 forwards.
-        bus.publish("campaign", "chunk", {"injections": 8, "lanes": 8})
-        bus.publish("campaign", "chunk", {"injections": 4, "lanes": 4})
+        # Two lane-packed chunks: 8 + 4 injections over 2 forwards.
+        perf = CampaignPerfCounters(forwards=2, forwards_saved=(8 - 1) + (4 - 1))
+        bus.publish("campaign", "progress", campaign_gauges(perf, 12, 12, 12, 1.0))
         sampler.stop()
         final = [e for e in sub.drain() if e["source"] == "sampler"][-1]["data"]
+        assert final["done"] == 12 and final["total"] == 12
         assert final["lane_occupancy"] == 6.0
         assert final["forwards_saved"] == 10
 
-    def test_lane_gauges_absent_traffic_and_legacy_streams(self):
+    def test_lane_gauges_absent_without_traffic(self):
         bus = TelemetryBus()
         sub = bus.subscribe()
         sampler = TelemetrySampler(bus, interval_s=60.0)
         sampler.start()
         sampler.stop()
         final = [e for e in sub.drain() if e["source"] == "sampler"][-1]["data"]
-        assert final["lane_occupancy"] is None  # no chunks seen
-        bus2 = TelemetryBus()
-        sub2 = bus2.subscribe()
-        sampler2 = TelemetrySampler(bus2, interval_s=60.0)
-        sampler2.start()
-        bus2.publish("campaign", "chunk", {"injections": 4})  # pre-lane stream
-        sampler2.stop()
-        final2 = [e for e in sub2.drain() if e["source"] == "sampler"][-1]["data"]
-        assert final2["lane_occupancy"] == 4.0  # injections count as lanes
+        assert final["lane_occupancy"] is None  # no snapshot seen
+        # Nor does a snapshot taken before the first forward claim one.
+        gauges = campaign_gauges(CampaignPerfCounters(), 0, 4, 0, 0.0)
+        assert gauges["lane_occupancy"] is None
+        assert gauges["cache_hit_rate"] is None
 
     def test_stop_is_idempotent(self):
         sampler = TelemetrySampler(TelemetryBus(), interval_s=60.0).start()
@@ -713,6 +705,81 @@ class TestTop:
             feeder.join()
         assert code == 0
         assert "4/4" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------- #
+# One snapshot: every gauge reader shows the folded counters
+# ---------------------------------------------------------------------- #
+
+@functools.lru_cache(maxsize=None)
+def _gauged_run(workers):
+    """A resnet18 smoke campaign of 96 injections with every reader attached.
+
+    Returns the campaign's perf counters, the heartbeat's last line, and
+    every envelope the run's bus carried.
+    """
+    net = models.get_model("resnet18", "cifar10", scale="smoke", rng=0)
+    net.eval()
+    dataset = SelfLabelledDataset(
+        net, SyntheticClassification(num_classes=10, image_size=32, seed=5))
+    campaign = InjectionCampaign(net, dataset, error_model=SingleBitFlip(),
+                                 batch_size=16, pool_size=32, rng=7)
+    bus = TelemetryBus()
+    sub = bus.subscribe(maxlen=100_000)
+    out = _Lines()
+    heartbeat = CampaignHeartbeat(campaign, interval_s=60.0, stream=out)
+    sampler = TelemetrySampler(bus, interval_s=60.0).start()
+    campaign.run(96, workers=workers, progress=heartbeat, telemetry=bus)
+    sampler.stop()
+    return campaign.perf, "".join(out.lines).splitlines()[-1], sub.drain()
+
+
+def _last(events, source, kind):
+    return [e["data"] for e in events
+            if (e["source"], e["kind"]) == (source, kind)][-1]
+
+
+class TestOneGaugeSnapshot:
+    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=needs_fork)])
+    def test_every_reader_agrees_with_the_folded_counters(self, workers):
+        perf, line, events = _gauged_run(workers)
+        assert perf.cache_hits + perf.cache_misses > 0 and perf.forwards > 0
+        expected = {
+            "done": 96,
+            "cache_hit_rate": perf.cache_hit_rate,
+            "lane_occupancy": perf.mean_lane_occupancy,
+            "forwards_saved": perf.forwards_saved,
+        }
+        for source, kind in (("heartbeat", "tick"), ("campaign", "progress"),
+                             ("sampler", "gauges")):
+            data = _last(events, source, kind)
+            assert {k: data[k] for k in expected} == expected, (source, kind)
+            assert data["total"] == 96 and data["inj_per_s"] > 0
+        assert line.startswith("[campaign] 96/96 injections")
+        assert f"cache hit {perf.cache_hit_rate:.0%}" in line
+        assert (f"lanes {perf.mean_lane_occupancy:.2f} "
+                f"({perf.forwards_saved} forwards saved)") in line
+
+    @needs_fork
+    def test_top_shows_the_folded_gauges(self):
+        perf, _, events = _gauged_run(2)
+        agg = TopAggregator()
+        for env in events:
+            agg.ingest(env)
+        assert agg.done == 96
+        assert agg.cache_hit_rate == perf.cache_hit_rate
+        # Ticks and sampler gauges replay the fold's snapshots, so top sees
+        # one rate definition whichever envelope arrived last.
+        folded = [e["data"]["inj_per_s"] for e in events
+                  if (e["source"], e["kind"]) == ("campaign", "progress")]
+        tick = _last(events, "heartbeat", "tick")
+        gauges = _last(events, "sampler", "gauges")
+        assert tick["inj_per_s"] == gauges["inj_per_s"] == folded[-1]
+        assert agg.inj_per_s == folded[-1]
+        sampled = [e["data"]["inj_per_s"] for e in events
+                   if e["source"] == "sampler"
+                   and e["data"]["inj_per_s"] is not None]
+        assert set(sampled) <= set(folded)
 
 
 # ---------------------------------------------------------------------- #
